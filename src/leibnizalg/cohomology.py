@@ -10,6 +10,10 @@ spaces of dimension k factor componentwise (the coefficients are central,
 so the defining conditions never couple components): all spaces here are
 computed with scalar coefficients, and k-dimensional statements are the
 k-fold copies.
+
+The identity is encoded once, as the sparse rows of `_condition_rows`:
+the defect of a form at a basis triple is row . theta, and violation
+reports, the cocycle test and the ZL^2 kernel all read those rows.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Algebra, Subspace
 from .linalg import Matrix, Vector, frac, kernel_basis, rank, solve, zero_vector
@@ -116,77 +120,65 @@ def combine(forms: Sequence[BilinearForm], coeffs: Sequence[Fraction]) -> Biline
     return acc
 
 
-def cocycle_defect(a: Algebra, form: BilinearForm, i: int, j: int, k: int) -> Fraction:
-    """Value of theta(e_i,[e_j,e_k]) - theta([e_i,e_j],e_k) + theta([e_i,e_k],e_j), 0-based."""
-    acc = Fraction(0)
-    for m, c in enumerate(a.sc[j][k]):
-        if c and form.values[i][m]:
-            acc += c * form.values[i][m]
-    for m, c in enumerate(a.sc[i][j]):
-        if c and form.values[m][k]:
-            acc -= c * form.values[m][k]
-    for m, c in enumerate(a.sc[i][k]):
-        if c and form.values[m][j]:
-            acc += c * form.values[m][j]
-    return acc
+ConditionRow = tuple[tuple[int, int, int], dict[int, Fraction]]
+
+
+def _condition_rows(a: Algebra) -> list[ConditionRow]:
+    """The cocycle identity as one sparse linear condition per basis triple.
+
+    The only place the identity is written.  The unknowns are theta_{pq}
+    at flat index p*n + q, so the defect of a form at a triple is
+    row . flatten(theta); each row is tagged with its 1-based (i, j, k).
+    Vacuous triples are dropped and the order is the (i, j, k) sweep, so
+    the system is canonical.
+    """
+    n = a.dim
+    rows: list[ConditionRow] = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                terms = [(i * n + m, c) for m, c in enumerate(a.sc[j][k]) if c]
+                terms += [(m * n + k, -c) for m, c in enumerate(a.sc[i][j]) if c]
+                terms += [(m * n + j, c) for m, c in enumerate(a.sc[i][k]) if c]
+                row: dict[int, Fraction] = {}
+                for p, c in terms:
+                    row[p] = row.get(p, 0) + c
+                row = {p: c for p, c in row.items() if c}
+                if row:
+                    rows.append(((i + 1, j + 1, k + 1), row))
+    return rows
+
+
+def _check_form_dim(a: Algebra, form: BilinearForm) -> None:
+    if form.dim != a.dim:
+        raise ValueError("form dimension %d against algebra dimension %d" % (form.dim, a.dim))
+
+
+def _defects(
+    a: Algebra, rows: Sequence[ConditionRow], form: BilinearForm
+) -> Iterator[tuple[tuple[int, int, int], Fraction]]:
+    """(triple, defect) for each condition row with row . theta != 0, in row order."""
+    _check_form_dim(a, form)
+    theta = form.flatten()
+    for triple, row in rows:
+        defect = sum((c * theta[p] for p, c in row.items() if theta[p]), Fraction(0))
+        if defect:
+            yield triple, defect
 
 
 def cocycle_violations(a: Algebra, form: BilinearForm) -> list[tuple[int, int, int, Fraction]]:
     """Basis triples (1-based) where the cocycle identity fails, with defects."""
-    if form.dim != a.dim:
-        raise ValueError("form dimension %d against algebra dimension %d" % (form.dim, a.dim))
-    out = []
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                d = cocycle_defect(a, form, i, j, k)
-                if d:
-                    out.append((i + 1, j + 1, k + 1, d))
-    return out
+    return [(i, j, k, d) for (i, j, k), d in _defects(a, _condition_rows(a), form)]
 
 
 def is_cocycle(a: Algebra, form: BilinearForm) -> bool:
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if cocycle_defect(a, form, i, j, k):
-                    return False
-    return True
-
-
-def _condition_rows(a: Algebra) -> list[Vector]:
-    """Linear conditions on the flattened form imposed by all basis triples.
-
-    Unknowns are theta_{pq} at flat index p*n + q.  Zero rows (triples whose
-    condition is vacuous) are dropped; the row order is the deterministic
-    (i, j, k) sweep, so the resulting system is canonical.
-    """
-    n = a.dim
-    rows: list[Vector] = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = [Fraction(0)] * (n * n)
-                for m, c in enumerate(a.sc[j][k]):
-                    if c:
-                        row[i * n + m] += c
-                for m, c in enumerate(a.sc[i][j]):
-                    if c:
-                        row[m * n + k] -= c
-                for m, c in enumerate(a.sc[i][k]):
-                    if c:
-                        row[m * n + j] += c
-                if any(row):
-                    rows.append(tuple(row))
-    return rows
+    return next(_defects(a, _condition_rows(a), form), None) is None
 
 
 def condition_matrix(a: Algebra) -> Matrix:
     """The cocycle-condition system as a matrix over the n^2 unknowns."""
-    rows = _condition_rows(a)
-    return Matrix(rows, cols=a.dim * a.dim)
+    width, zero = a.dim * a.dim, Fraction(0)
+    return Matrix([[row.get(p, zero) for p in range(width)] for _, row in _condition_rows(a)], cols=width)
 
 
 @dataclass(frozen=True)
@@ -211,15 +203,7 @@ class CochainSpace:
 def cocycle_space(a: Algebra) -> CochainSpace:
     """ZL^2 with scalar coefficients: kernel of the condition system."""
     n = a.dim
-    rows = _condition_rows(a)
-    if not rows:
-        basis: tuple[Vector, ...] = tuple(
-            tuple(Fraction(1) if t == s else Fraction(0) for t in range(n * n))
-            for s in range(n * n)
-        )
-    else:
-        basis = kernel_basis(Matrix(rows, cols=n * n))
-    return CochainSpace(n, Subspace.span(n * n, basis))
+    return CochainSpace(n, Subspace.span(n * n, kernel_basis(condition_matrix(a))))
 
 
 def coboundary_generator(a: Algebra, m: int) -> BilinearForm:
@@ -284,6 +268,7 @@ def cohomology_class(a: Algebra, form: BilinearForm) -> tuple[Fraction, ...] | N
     None when the form is not a cocycle.  A zero tuple means the form is a
     coboundary.
     """
+    _check_form_dim(a, form)
     basis = cohomology_basis(a)
     b_vectors = list(basis.coboundaries.space.basis)
     h_vectors = [rep.flatten() for rep in basis.representatives]

@@ -358,8 +358,6 @@ def _stacked_kernel(a: Algebra, use_left: bool, use_right: bool) -> Subspace:
                 row = tuple(a.sc[j][i][k] for i in range(n))
                 if any(row):
                     rows.append(row)
-    if not rows:
-        return Subspace.full(n)
     return Subspace.span(n, kernel_basis(Matrix(rows, cols=n)))
 
 

@@ -19,9 +19,10 @@ from fractions import Fraction
 
 from .cohomology import (
     BilinearForm,
+    _condition_rows,
+    _defects,
     coboundary_generator,
     cocycle_space,
-    cocycle_violations,
     cohomology_basis,
     cohomology_class,
     combine,
@@ -72,12 +73,22 @@ def make_spec(base: Algebra, *forms: BilinearForm) -> ExtensionSpec:
 
 
 def validate_cocycle(spec: ExtensionSpec) -> None:
-    """Raise InvalidCocycleError on the first failing component."""
+    """Raise InvalidCocycleError on the first failing component.
+
+    The error names the component's first violating triple in (i, j, k)
+    sweep order.
+    """
+    rows = _condition_rows(spec.base)
     for t, form in enumerate(spec.forms):
-        violations = cocycle_violations(spec.base, form)
+        for triple, defect in _defects(spec.base, rows, form):
+            raise InvalidCocycleError(t + 1, triple, defect)
+
+
+def _require_leibniz(base: Algebra) -> None:
+    if not base.checked:
+        violations = check_leibniz(base)
         if violations:
-            i, j, k, defect = violations[0]
-            raise InvalidCocycleError(t + 1, (i, j, k), defect)
+            raise LeibnizError(violations[0], len(violations))
 
 
 def central_extension(spec: ExtensionSpec) -> Algebra:
@@ -89,10 +100,7 @@ def central_extension(spec: ExtensionSpec) -> Algebra:
     cocycles, so it is returned pre-checked.
     """
     base = spec.base
-    if not base.checked:
-        violations = check_leibniz(base)
-        if violations:
-            raise LeibnizError(violations[0], len(violations))
+    _require_leibniz(base)
     validate_cocycle(spec)
     n, k = base.dim, spec.k
     dim = n + k
@@ -163,9 +171,12 @@ def reduce_extension(spec: ExtensionSpec) -> SplitReport:
     are coboundaries phi o bracket and are absorbed by shifting the
     section e_i -> e_i + sum_s phi_s(e_i) c_s over the trailing adapted
     central vectors c_s.
+
+    Over a Leibniz base a form lacks a class exactly when it is not a
+    cocycle, so the class computation is the only validation needed.
     """
-    validate_cocycle(spec)
     base = spec.base
+    _require_leibniz(base)
     n, k = base.dim, spec.k
     h = cohomology_basis(base).dim
     if k == 0:
@@ -174,7 +185,9 @@ def reduce_extension(spec: ExtensionSpec) -> SplitReport:
     classes = []
     for form in spec.forms:
         coords = cohomology_class(base, form)
-        assert coords is not None  # validate_cocycle passed
+        if coords is None:
+            validate_cocycle(spec)  # raises, naming the first violating triple
+        assert coords is not None
         classes.append(coords)
     augmented = Matrix(
         [tuple(row) + unit_vector(k, t) for t, row in enumerate(classes)], cols=h + k

@@ -60,6 +60,20 @@ def test_not_a_cocycle_has_violation():
     assert defect != 0
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_is_cocycle_rejects_form_of_wrong_dimension(dim):
+    a = catalog.make("NF", 3)
+    with pytest.raises(ValueError, match="form dimension %d against algebra dimension 3" % dim):
+        is_cocycle(a, BilinearForm.singleton(dim, dim, dim))
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_cohomology_class_rejects_form_of_wrong_dimension(dim):
+    a = catalog.make("NF", 3)
+    with pytest.raises(ValueError, match="form dimension %d against algebra dimension 3" % dim):
+        cohomology_class(a, BilinearForm.singleton(dim, dim, dim))
+
+
 def test_coboundary_generators_are_coboundaries_of_bracket():
     a = catalog.make("F1", 5)
     for m in range(5):

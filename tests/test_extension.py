@@ -15,6 +15,8 @@ from leibnizalg.cohomology import (
     combine,
 )
 from leibnizalg.core import (
+    LeibnizError,
+    algebra_from_products,
     center,
     check_leibniz,
     nilindex,
@@ -60,6 +62,29 @@ def test_invalid_cocycle_rejected():
     assert exc.value.component == 1
     with pytest.raises(InvalidCocycleError):
         central_extension(make_spec(base, bad))
+
+
+def test_reduce_rejects_invalid_second_component():
+    base = catalog.make("F1", 5)
+    good = cohomology_basis(base).representatives[0]
+    bad = BilinearForm.singleton(5, 1, 3, "2/3")
+    spec = make_spec(base, good, bad)
+    with pytest.raises(InvalidCocycleError) as expected:
+        validate_cocycle(spec)
+    with pytest.raises(InvalidCocycleError) as exc:
+        reduce_extension(spec)
+    assert exc.value.component == 2
+    assert (exc.value.triple, exc.value.defect) == (expected.value.triple, expected.value.defect)
+    assert str(exc.value) == str(expected.value)
+
+
+def test_reduce_rejects_non_leibniz_base():
+    # a coboundary over a non-Leibniz base can fail the cocycle identity
+    base = algebra_from_products(3, {(1, 1): {2: 1}, (2, 1): {3: 1}, (2, 2): {1: 1}},
+                                 check=False)
+    for form in (BilinearForm.zero(3), coboundary_generator(base, 1)):
+        with pytest.raises(LeibnizError):
+            reduce_extension(make_spec(base, form))
 
 
 def test_adjoined_directions_are_central():

@@ -173,6 +173,13 @@ def test_extend_invalid_cocycle_exits_1(nf4_file, tmp_path):
     assert main(["extend", nf4_file, "--cocycle", str(path)]) == 1
 
 
+def test_split_check_invalid_cocycle_exits_1(nf4_file, tmp_path, capsys):
+    path = tmp_path / "badc.json"
+    files.write_cocycle_file(path, 4, (BilinearForm.singleton(4, 1, 3),))
+    assert main(["split-check", nf4_file, "--cocycle", str(path)]) == 1
+    assert "cocycle component 1 fails on" in capsys.readouterr().err
+
+
 def test_split_check_json(nf4_file, top_cocycle_file, capsys):
     assert main(["split-check", nf4_file, "--cocycle", top_cocycle_file,
                  "--format", "json"]) == 0
