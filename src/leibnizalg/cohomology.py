@@ -14,6 +14,8 @@ k-fold copies.
 The identity is encoded once, as the sparse rows of `_condition_rows`:
 the defect of a form at a basis triple is row . theta, and violation
 reports, the cocycle test and the ZL^2 kernel all read those rows.
+`condition_matrix` is a dense view of them for display and measurement,
+not the path to ZL^2.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Algebra, Subspace
-from .linalg import Matrix, Vector, frac, kernel_basis, rank, solve, zero_vector
+from .linalg import Echelon, Matrix, Vector, frac, rank, solve, sparse, zero_vector
 
 
 @dataclass(frozen=True)
@@ -133,16 +135,17 @@ def _condition_rows(a: Algebra) -> list[ConditionRow]:
     the system is canonical.
     """
     n = a.dim
+    support = [[[(m, c) for m, c in enumerate(cell) if c] for cell in row] for row in a.sc]
     rows: list[ConditionRow] = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                terms = [(i * n + m, c) for m, c in enumerate(a.sc[j][k]) if c]
-                terms += [(m * n + k, -c) for m, c in enumerate(a.sc[i][j]) if c]
-                terms += [(m * n + j, c) for m, c in enumerate(a.sc[i][k]) if c]
+                terms = [(i * n + m, c) for m, c in support[j][k]]
+                terms += [(m * n + k, -c) for m, c in support[i][j]]
+                terms += [(m * n + j, c) for m, c in support[i][k]]
                 row: dict[int, Fraction] = {}
                 for p, c in terms:
-                    row[p] = row.get(p, 0) + c
+                    row[p] = row[p] + c if p in row else c
                 row = {p: c for p, c in row.items() if c}
                 if row:
                     rows.append(((i + 1, j + 1, k + 1), row))
@@ -176,7 +179,7 @@ def is_cocycle(a: Algebra, form: BilinearForm) -> bool:
 
 
 def condition_matrix(a: Algebra) -> Matrix:
-    """The cocycle-condition system as a matrix over the n^2 unknowns."""
+    """The cocycle-condition system as a dense matrix over the n^2 unknowns."""
     width, zero = a.dim * a.dim, Fraction(0)
     return Matrix([[row.get(p, zero) for p in range(width)] for _, row in _condition_rows(a)], cols=width)
 
@@ -203,7 +206,8 @@ class CochainSpace:
 def cocycle_space(a: Algebra) -> CochainSpace:
     """ZL^2 with scalar coefficients: kernel of the condition system."""
     n = a.dim
-    return CochainSpace(n, Subspace.span(n * n, kernel_basis(condition_matrix(a))))
+    kernel = Echelon(n * n, (row for _, row in _condition_rows(a))).kernel()
+    return CochainSpace(n, Subspace.span(n * n, kernel))
 
 
 def coboundary_generator(a: Algebra, m: int) -> BilinearForm:
@@ -240,22 +244,19 @@ class CohomologyBasis:
 def cohomology_basis(a: Algebra) -> CohomologyBasis:
     """Extend the BL^2 basis to ZL^2; the added cocycles represent HL^2.
 
-    The candidates are the canonical kernel basis of the condition system,
-    taken in order; a candidate is kept when it is independent of BL^2
-    plus the candidates already kept.  The kept forms are returned
-    verbatim (not re-reduced), so each representative is an actual kernel
-    basis vector.
+    The candidates are the canonical ZL^2 basis, taken in order; a
+    candidate is kept when it is independent of BL^2 plus the candidates
+    already kept, which one growing echelon decides.  The kept forms are
+    returned verbatim (not re-reduced), so each representative is an
+    actual ZL^2 basis vector.
     """
     z = cocycle_space(a)
     b = coboundary_space(a)
-    current = b.space
-    reps: list[BilinearForm] = []
-    for v in z.space.basis:
-        extended = Subspace.span(a.dim * a.dim, current.basis + (v,))
-        if extended.dim > current.dim:
-            reps.append(BilinearForm.from_flat(a.dim, v))
-            current = extended
-    return CohomologyBasis(z, b, tuple(reps))
+    echelon = Echelon(a.dim * a.dim, map(sparse, b.space.basis))
+    reps = tuple(
+        BilinearForm.from_flat(a.dim, v) for v in z.space.basis if echelon.add(sparse(v))
+    )
+    return CohomologyBasis(z, b, reps)
 
 
 def cohomology_dim(a: Algebra) -> int:

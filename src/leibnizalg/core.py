@@ -18,19 +18,19 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .linalg import (
+    Echelon,
     Matrix,
     Vector,
     frac,
     inverse,
     is_zero_vector,
     kernel_basis,
-    rank,
-    rref,
+    sparse,
     unit_vector,
     vec_add,
     vec_sub,
@@ -235,13 +235,8 @@ class Subspace:
 
     @staticmethod
     def span(ambient: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
-        rows = [tuple(frac(x) for x in v) for v in vectors]
-        rows = [v for v in rows if any(v)]
-        if not rows:
-            return Subspace(ambient, (), ())
-        reduced, pivots = rref(Matrix(rows, cols=ambient))
-        basis = tuple(row for row in reduced.data if any(row))
-        return Subspace(ambient, basis, pivots)
+        e = Echelon(ambient, map(sparse, vectors))
+        return Subspace(ambient, e.dense_rows(), e.pivots)
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
@@ -251,19 +246,17 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _echelon(self) -> Echelon:
+        return Echelon(self.ambient, map(sparse, self.basis))
+
     def reduce(self, v: Sequence[Fraction]) -> Vector:
         """Residue of v after elimination against the rref basis."""
-        w = list(frac(x) for x in v)
-        for row, p in zip(self.basis, self.pivots):
-            f = w[p]
-            if f:
-                for idx, y in enumerate(row):
-                    if y:
-                        w[idx] -= f * y
-        return tuple(w)
+        residue = self._echelon.reduce(sparse(v))
+        return tuple(residue.get(j, Fraction(0)) for j in range(len(v)))
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return is_zero_vector(self.reduce(v))
+        return not self._echelon.reduce(sparse(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -433,34 +426,24 @@ def jordan_type_nilpotent(m: Matrix) -> CharSeq:
     """Jordan block sizes of a nilpotent matrix from its rank sequence.
 
     The number of blocks of size >= s is rank(m^{s-1}) - rank(m^s).
-    Raises NotNilpotentError when m^rows != 0.  Pure-integer matrices take
-    a fraction-free elimination path; the result is identical.
+    Raises NotNilpotentError when m^rows != 0.  The ranks are those of the
+    powers of m with its denominators cleared, which are the same, found
+    by fraction-free (Bareiss) elimination.
     """
     if m.rows != m.cols:
         raise ValueError("Jordan type of a non-square matrix")
     n = m.rows
     ranks = [n]
-    int_grid = linalg.integer_grid(m)
-    if int_grid is not None:
-        power = int_grid
-        while True:
-            r = linalg.integer_rank(power, n)
-            ranks.append(r)
-            if r == 0:
-                break
-            if len(ranks) > n + 1:
-                raise NotNilpotentError("matrix is not nilpotent")
-            power = linalg.integer_matmul(power, int_grid)
-        return _parts_from_ranks(ranks)
-    power = m
+    grid = linalg.integer_grid(m)
+    power = grid
     while True:
-        r = rank(power)
+        r = linalg.integer_rank(power, n)
         ranks.append(r)
         if r == 0:
             break
         if len(ranks) > n + 1:
             raise NotNilpotentError("matrix is not nilpotent")
-        power = power @ m
+        power = linalg.integer_matmul(power, grid)
     return _parts_from_ranks(ranks)
 
 

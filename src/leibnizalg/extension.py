@@ -21,7 +21,6 @@ from .cohomology import (
     BilinearForm,
     _condition_rows,
     _defects,
-    coboundary_generator,
     cocycle_space,
     cohomology_basis,
     cohomology_class,
@@ -198,7 +197,8 @@ def reduce_extension(spec: ExtensionSpec) -> SplitReport:
     w = inverse(u)
     assert w is not None  # row operations are invertible
     transformed = [combine(spec.forms, u.row(s)) for s in range(k)]
-    generators = Matrix.from_columns([coboundary_generator(base, m).flatten() for m in range(n)])
+    # Column m is the flattened coboundary of the m-th coordinate functional.
+    generators = Matrix([base.sc[i][j] for i in range(n) for j in range(n)], cols=n)
     shifts: list[Vector] = []
     for s in range(d, k):
         phi = solve(generators, transformed[s].flatten())

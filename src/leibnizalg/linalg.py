@@ -1,15 +1,26 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 The scalar type is `fractions.Fraction`: arbitrary-precision rationals,
 always in lowest terms with positive denominator, so every computation in
 this module is exact.  Matrices are immutable, row-major grids of
-Fractions sized for small dense problems (dimensions in the tens); there
-are no pivoting heuristics and no sparsity machinery on purpose.
+Fractions.
+
+Elimination has one kernel, `Echelon`: rows are sparse dicts
+{column: Fraction}, each incoming row is reduced against the pivot rows
+already found, its leftmost nonzero column becomes a new pivot, and that
+column is eliminated from the earlier pivot rows.  The cocycle systems
+this package solves have n^3 rows over n^2 unknowns with only a few
+nonzeros per row, which is where the sparse rows pay.  `rref`, `rank`,
+`kernel_basis`, `solve`, `inverse` and `core.Subspace.span` all go
+through it.  Rank sequences of powers of a matrix (Jordan types) use
+fraction-free Bareiss elimination over the integers instead, after
+clearing denominators, which is faster on those small dense grids.
 
 Determinism conventions, relied on throughout the package:
 
-* `rref` picks pivots as the leftmost nonzero column, topmost nonzero
-  row, so the reduced form and the pivot list are canonical.
+* The reduced row echelon form of a row space is unique, so `rref` and
+  the pivot list are canonical whatever the order in which rows were
+  added or eliminated.
 * `kernel_basis` enumerates free columns in increasing order and sets the
   free coordinate of each basis vector to 1.
 * `solve` returns the particular solution with all free variables zero.
@@ -20,8 +31,9 @@ lives elsewhere and never feeds back into exact results.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -165,66 +177,125 @@ class Matrix:
         return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)
 
 
+def _axpy(y: dict[int, Fraction], a: Fraction, x: Mapping[int, Fraction]) -> None:
+    """y += a * x on sparse rows, dropping entries that cancel."""
+    for j, v in x.items():
+        if j in y:
+            w = y[j] + a * v
+            if w:
+                y[j] = w
+            else:
+                del y[j]
+        else:
+            y[j] = a * v
+
+
+class Echelon:
+    """The reduced row echelon form of a growing row space, as sparse rows.
+
+    `rows` maps each pivot column to its row, a dict {column: nonzero
+    Fraction} with a 1 at the pivot, no entries left of it and zeros in
+    every other pivot column.  `add` reduces an incoming row against the
+    rows already held; a nonzero residue is scaled so that its leftmost
+    column becomes a new pivot, and that column is then eliminated from
+    the earlier rows.
+
+    The rows given to the constructor are added lightest first, as in
+    structured Gaussian elimination: sparse pivot rows cause less fill-in.
+    The order changes the cost only, never the result.
+    """
+
+    __slots__ = ("cols", "rows")
+
+    def __init__(self, cols: int, rows: Iterable[Mapping[int, Fraction]] = ()):
+        self.cols = cols
+        self.rows: dict[int, dict[int, Fraction]] = {}
+        for row in sorted(rows, key=len):
+            self.add(row)
+
+    def reduce(self, row: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """Residue of a sparse row after elimination against the held rows.
+
+        A held row is zero in every other pivot column, so one pass over
+        the pivot columns of the input suffices.
+        """
+        out = dict(row)
+        for p in [c for c in out if c in self.rows]:
+            _axpy(out, -out[p], self.rows[p])
+        return out
+
+    def add(self, row: Mapping[int, Fraction]) -> bool:
+        """Extend the row space by `row`; False when it was already inside."""
+        residue = self.reduce(row)
+        if not residue:
+            return False
+        lead = min(residue)
+        scale = residue[lead]
+        if scale != 1:
+            residue = {j: x / scale for j, x in residue.items()}
+        for held in self.rows.values():
+            f = held.get(lead)
+            if f:
+                _axpy(held, -f, residue)
+        self.rows[lead] = residue
+        return True
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(sorted(self.rows))
+
+    def dense_rows(self) -> tuple[Vector, ...]:
+        """The reduced rows in pivot order, as dense vectors."""
+        width = range(self.cols)
+        return tuple(tuple(self.rows[p].get(j, _ZERO) for j in width) for p in self.pivots)
+
+    def kernel(self) -> tuple[Vector, ...]:
+        """Basis of {v : row . v = 0 for every row}, in free-column order.
+
+        Each vector has a 1 in its free coordinate and zeros in the other
+        free coordinates.
+        """
+        basis: list[Vector] = []
+        for free in range(self.cols):
+            if free in self.rows:
+                continue
+            v = [_ZERO] * self.cols
+            v[free] = _ONE
+            for p, row in self.rows.items():
+                x = row.get(free)
+                if x:
+                    v[p] = -x
+            basis.append(tuple(v))
+        return tuple(basis)
+
+
+def sparse(v: Iterable[int | str | Fraction]) -> dict[int, Fraction]:
+    """The nonzero entries of a dense vector, keyed by index."""
+    return {j: x for j, x in enumerate(map(frac, v)) if x}
+
+
+def _echelon(m: Matrix) -> Echelon:
+    return Echelon(m.cols, map(sparse, m.data))
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the tuple of pivot columns.
 
-    Pivot choice is deterministic: leftmost nonzero column, topmost
-    nonzero entry at or below the working row.  The result is the
-    canonical reduced form, so it is idempotent and unique per row space.
+    The zero rows follow the pivot rows, so the shape is that of m.  The
+    result is the unique reduced form of the row space.
     """
-    a = [list(row) for row in m.data]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        p = a[r][c]
-        if p != 1:
-            inv = _ONE / p
-            a[r] = [x * inv for x in a[r]]
-        prow = a[r]
-        for i in range(nrows):
-            if i != r:
-                f = a[i][c]
-                if f:
-                    a[i] = [x - f * y for x, y in zip(a[i], prow)]
-        pivots.append(c)
-        r += 1
-    return Matrix(a, cols=ncols), tuple(pivots)
+    e = _echelon(m)
+    zeros = (zero_vector(m.cols),) * (m.rows - len(e.rows))
+    return Matrix(e.dense_rows() + zeros, cols=m.cols), e.pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_echelon(m).rows)
 
 
 def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
-    """Basis of the right null space {v : m v = 0}.
-
-    Free columns are enumerated in increasing order; each basis vector has
-    a 1 in its free coordinate and zeros in the other free coordinates,
-    which makes the basis canonical for a given matrix.
-    """
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * m.cols
-        v[free] = _ONE
-        for row_index, p in enumerate(pivots):
-            v[p] = -reduced.data[row_index][free]
-        basis.append(tuple(v))
-    return tuple(basis)
+    """Basis of the right null space {v : m v = 0}, as `Echelon.kernel`."""
+    return _echelon(m).kernel()
 
 
 def solve(m: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
@@ -235,13 +306,13 @@ def solve(m: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
     """
     if len(rhs) != m.rows:
         raise ValueError("rhs of length %d against %d rows" % (len(rhs), m.rows))
-    augmented = Matrix([list(row) + [b] for row, b in zip(m.data, rhs)], cols=m.cols + 1)
-    reduced, pivots = rref(augmented)
-    if m.cols in pivots:
+    n = m.cols
+    e = Echelon(n + 1, (sparse(row + (b,)) for row, b in zip(m.data, map(frac, rhs))))
+    if n in e.rows:
         return None
-    x = [_ZERO] * m.cols
-    for row_index, p in enumerate(pivots):
-        x[p] = reduced.data[row_index][m.cols]
+    x = [_ZERO] * n
+    for p, row in e.rows.items():
+        x[p] = row.get(n, _ZERO)
     return tuple(x)
 
 
@@ -250,31 +321,26 @@ def inverse(m: Matrix) -> Matrix | None:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
-    augmented = Matrix(
-        [list(row) + [_ONE if i == j else _ZERO for j in range(n)] for i, row in enumerate(m.data)],
-        cols=2 * n,
-    )
-    reduced, pivots = rref(augmented)
-    if tuple(pivots[:n]) != tuple(range(n)):
+    e = Echelon(2 * n, ({**sparse(row), n + i: _ONE} for i, row in enumerate(m.data)))
+    if any(p not in e.rows for p in range(n)):
         return None
-    return Matrix([row[n:] for row in reduced.data], cols=n)
+    return Matrix([[e.rows[p].get(n + j, _ZERO) for j in range(n)] for p in range(n)], cols=n)
 
 
-def integer_grid(m: Matrix) -> list[list[int]] | None:
-    """The entries as plain ints when every denominator is 1, else None.
+def integer_grid(m: Matrix) -> list[list[int]]:
+    """The entries times their least common denominator, as plain ints.
 
-    Fast-path probe: rank computations over pure-integer matrices can use
-    fraction-free elimination, which is much cheaper than Fraction rref.
+    A nonzero multiple has the same rank as m, and its powers the same
+    ranks as the powers of m, so rank sequences can use fraction-free
+    elimination, which is much cheaper than Fraction arithmetic.
     """
-    grid = []
+    scale = 1
     for row in m.data:
-        out = []
         for x in row:
-            if x.denominator != 1:
-                return None
-            out.append(x.numerator)
-        grid.append(out)
-    return grid
+            d = x.denominator
+            if d != 1:
+                scale = scale // math.gcd(scale, d) * d
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in m.data]
 
 
 def integer_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

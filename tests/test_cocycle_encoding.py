@@ -24,11 +24,13 @@ from leibnizalg.cohomology import (
 from leibnizalg.core import Subspace
 from leibnizalg.extension import (
     InvalidCocycleError,
+    central_extension,
     make_spec,
     reduce_extension,
+    reduced_spec,
     validate_cocycle,
 )
-from leibnizalg.isomorphism import transform_algebra
+from leibnizalg.isomorphism import transform_algebra, verify_isomorphism
 from leibnizalg.linalg import Matrix, kernel_basis
 
 
@@ -189,6 +191,10 @@ def test_invalid_cocycle_error_matches_oracle(data):
     expected = oracle_first_error(a, forms)
     if expected is None:
         validate_cocycle(spec)
+        report = reduce_extension(spec)
+        rebuilt = central_extension(reduced_spec(spec, report))
+        check = verify_isomorphism(rebuilt, central_extension(spec), report.change_of_basis)
+        assert check.ok, check.reason
         return
     for check in (validate_cocycle, reduce_extension):
         with pytest.raises(InvalidCocycleError) as exc:

@@ -153,6 +153,17 @@ def test_rebuild_matches_original():
     assert check.ok, check.reason
 
 
+def test_zero_dimensional_base_splits_off_everything():
+    zero = BilinearForm.zero(0)
+    spec = make_spec(catalog.make("abelian", 0), zero, zero)
+    report = reduce_extension(spec)
+    assert (report.class_rank, report.abelian_dim) == (0, 2)
+    assert report.section_shift == ((), ())
+    rebuilt = central_extension(reduced_spec(spec, report))
+    check = verify_isomorphism(rebuilt, central_extension(spec), report.change_of_basis)
+    assert check.ok, check.reason
+
+
 def test_scalar_extension_keeps_nilpotency():
     base = catalog.make("F2", 6)
     for rep in cohomology_basis(base).representatives:
