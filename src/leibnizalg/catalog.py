@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import Algebra, algebra_from_products
+from .core import Algebra, algebra_from_products, require_dim
 from .linalg import frac
 
 Table = dict[tuple[int, int], dict[int, Fraction]]
@@ -560,6 +560,7 @@ def make(family: str, dim: int, **params: int | str | Fraction) -> Algebra:
     info = family_info(family)
     if dim < info.min_dim or (info.max_dim is not None and dim > info.max_dim):
         raise ValueError("family %s needs %s, got dim %d" % (family, info.dims, dim))
+    require_dim(dim)
     builder = _FAMILIES[family][1]
     pending = {name: frac(value) for name, value in params.items()}
     table = builder(dim, pending)

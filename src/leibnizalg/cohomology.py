@@ -135,14 +135,18 @@ def _condition_rows(a: Algebra) -> list[ConditionRow]:
     the system is canonical.
     """
     n = a.dim
-    support = [[[(m, c) for m, c in enumerate(cell) if c] for cell in row] for row in a.sc]
+    den = a.table.denominator
+    support = {
+        key: [(m, Fraction(c, den)) for m, c in terms] for key, terms in a.table.products.items()
+    }
+    get = support.get
     rows: list[ConditionRow] = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                terms = [(i * n + m, c) for m, c in support[j][k]]
-                terms += [(m * n + k, -c) for m, c in support[i][j]]
-                terms += [(m * n + j, c) for m, c in support[i][k]]
+                terms = [(i * n + m, c) for m, c in get((j, k), ())]
+                terms += [(m * n + k, -c) for m, c in get((i, j), ())]
+                terms += [(m * n + j, c) for m, c in get((i, k), ())]
                 row: dict[int, Fraction] = {}
                 for p, c in terms:
                     row[p] = row[p] + c if p in row else c

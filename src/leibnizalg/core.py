@@ -9,12 +9,22 @@ Everything downstream (lower central series, center, annihilators,
 characteristic sequence, natural gradation) is computed exactly with the
 rational linear algebra in `linalg`.  All values are immutable; the
 module-level operations are pure functions, and the expensive structural
-ones are memoized on the (hashable) algebra value.
+ones are memoized on the algebra value.
+
+`Algebra.sc` is the dense table as given.  The hot loops read a second,
+canonical view of it instead, built once per algebra: the least common
+denominator D of the structure constants and the nonzero products D*c as
+plain ints, keyed by basis pair (`Algebra.table`).  Brackets, the
+Leibniz check, the lower central series, the center, annihilator and
+squares systems and the right multiplication grids of the characteristic
+sequence run on machine ints and divide by D only where a rational
+result is returned.  Equality and the hash of an algebra are computed
+from the same view, the hash once, so a memo lookup does not walk the
+n^3 table.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,10 +36,10 @@ from .linalg import (
     Echelon,
     Matrix,
     Vector,
+    common_denominator,
     frac,
     inverse,
     is_zero_vector,
-    kernel_basis,
     sparse,
     unit_vector,
     vec_add,
@@ -37,9 +47,21 @@ from .linalg import (
     zero_vector,
 )
 
+_ZERO = Fraction(0)
+
 # Fixed seed for the pseudo-random probe vectors of characteristic_sequence.
 CHARSEQ_SEED = 1729
 CHARSEQ_RANDOM_TRIALS = 32
+
+# Largest dimension accepted where an algebra or a cochain is built from
+# sparse input; a dim^3 table is allocated right after this check.
+MAX_DIM = 64
+
+
+def require_dim(dim: int) -> None:
+    """Refuse a dimension above MAX_DIM before anything is allocated."""
+    if dim > MAX_DIM:
+        raise ValueError("dimension %d exceeds the limit of %d" % (dim, MAX_DIM))
 
 
 class NotNilpotentError(ValueError):
@@ -69,14 +91,39 @@ class LeibnizError(ValueError):
         )
 
 
-@dataclass(frozen=True)
+class IntegerTable(NamedTuple):
+    """The structure constants over their least common denominator.
+
+    `products[(i, j)]` holds the nonzero (k, D*c) of [e_i, e_j], 0-based,
+    k ascending; pairs with a zero bracket are absent and the keys run in
+    (i, j) sweep order.  D is the least common denominator, so equal
+    tables have equal views.
+    """
+
+    denominator: int
+    products: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+
+
+def _integer_vector(x: Sequence[Fraction]) -> tuple[list[int], int]:
+    """x as ints over their least common denominator, with that denominator."""
+    den = common_denominator(x)
+    return [v.numerator * (den // v.denominator) for v in x], den
+
+
+def _rational_vector(ints: Sequence[int], den: int) -> Vector:
+    """The vector ints / den, back in Fractions."""
+    return tuple(Fraction(v, den) if v else _ZERO for v in ints)
+
+
+@dataclass(frozen=True, eq=False)
 class Algebra:
     """A finite-dimensional algebra given by structure constants.
 
     `sc[i][j]` is the coordinate vector of [e_i, e_j] (0-based).  Labels
     are presentation only and do not take part in equality or hashing.
     `checked` records whether the Leibniz identity was verified at
-    construction; it is metadata, not part of the value.
+    construction; it is metadata, not part of the value.  Equality and
+    the hash compare `table`, the canonical integer view of `sc`.
     """
 
     dim: int
@@ -92,6 +139,34 @@ class Algebra:
         ):
             raise ValueError("structure constants must form a dim x dim grid of dim-vectors")
 
+    @cached_property
+    def table(self) -> IntegerTable:
+        """The canonical integer view of `sc`, built on first use."""
+        nonzero: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+        for i, row in enumerate(self.sc):
+            for j, cell in enumerate(row):
+                terms = [(k, c) for k, c in enumerate(cell) if c]
+                if terms:
+                    nonzero[i, j] = terms
+        den = common_denominator(c for terms in nonzero.values() for _, c in terms)
+        return IntegerTable(den, {
+            key: tuple((k, c.numerator * (den // c.denominator)) for k, c in terms)
+            for key, terms in nonzero.items()
+        })
+
+    @cached_property
+    def _hash(self) -> int:
+        table = self.table
+        return hash((self.dim, table.denominator, tuple(table.products.items())))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Algebra):
+            return NotImplemented
+        return self is other or (self.dim == other.dim and self.table == other.table)
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def label(self, i: int) -> str:
         """Display name of basis vector i (0-based)."""
         if self.labels is not None:
@@ -100,11 +175,10 @@ class Algebra:
 
     def products(self) -> Iterable[tuple[int, int, int, Fraction]]:
         """Nonzero structure constants as 1-based (i, j, k, c) records."""
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, c in enumerate(self.sc[i][j]):
-                    if c:
-                        yield (i + 1, j + 1, k + 1, c)
+        den = self.table.denominator
+        for (i, j), terms in self.table.products.items():
+            for k, c in terms:
+                yield (i + 1, j + 1, k + 1, Fraction(c, den))
 
 
 def algebra_from_products(
@@ -117,8 +191,10 @@ def algebra_from_products(
 
     `products[(i, j)][k] = c` means [e_i, e_j] has coefficient c on e_k;
     omitted products are zero.  With `check=True` (the default) the
-    Leibniz identity is verified and the first violation raised.
+    Leibniz identity is verified and the first violation raised.  A
+    dimension above MAX_DIM is refused before the table is allocated.
     """
+    require_dim(dim)
     table = [[list(zero_vector(dim)) for _ in range(dim)] for _ in range(dim)]
     for (i, j), targets in products.items():
         if not (1 <= i <= dim and 1 <= j <= dim):
@@ -168,55 +244,46 @@ def bracket(a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
     """Bilinear extension of the bracket to coordinate vectors."""
     if len(x) != a.dim or len(y) != a.dim:
         raise ValueError("vectors must have length %d" % a.dim)
-    acc = [Fraction(0)] * a.dim
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        row = a.sc[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            c = xi * yj
-            for k, s in enumerate(row[j]):
-                if s:
-                    acc[k] += c * s
-    return tuple(acc)
-
-
-def _leibniz_defect(a: Algebra, i: int, j: int, k: int) -> Vector:
-    """Defect of the identity on basis triple (0-based indices)."""
-    n = a.dim
-    acc = [Fraction(0)] * n
-    # [e_i, [e_j, e_k]]
-    for m, c in enumerate(a.sc[j][k]):
-        if c:
-            for t, s in enumerate(a.sc[i][m]):
-                if s:
-                    acc[t] += c * s
-    # - [[e_i, e_j], e_k]
-    for m, c in enumerate(a.sc[i][j]):
-        if c:
-            for t, s in enumerate(a.sc[m][k]):
-                if s:
-                    acc[t] -= c * s
-    # + [[e_i, e_k], e_j]
-    for m, c in enumerate(a.sc[i][k]):
-        if c:
-            for t, s in enumerate(a.sc[m][j]):
-                if s:
-                    acc[t] += c * s
-    return tuple(acc)
+    xs, dx = _integer_vector(x)
+    ys, dy = _integer_vector(y)
+    acc = [0] * a.dim
+    for (i, j), terms in a.table.products.items():
+        f = xs[i] * ys[j]
+        if f:
+            for k, c in terms:
+                acc[k] += f * c
+    return _rational_vector(acc, dx * dy * a.table.denominator)
 
 
 def check_leibniz(a: Algebra) -> list[LeibnizViolation]:
-    """All violating basis triples, 1-based, with their defect vectors."""
-    violations = []
+    """All violating basis triples, 1-based, with their defect vectors.
+
+    The defect of (e_i, e_j, e_k) is [e_i,[e_j,e_k]] - [[e_i,e_j],e_k]
+    + [[e_i,e_k],e_j]; on the integer products it comes out times D^2.
+    """
     n = a.dim
+    table = a.table
+    get = table.products.get
+    violations = []
     for i in range(n):
         for j in range(n):
+            ij = get((i, j), ())
             for k in range(n):
-                defect = _leibniz_defect(a, i, j, k)
-                if any(defect):
+                jk, ik = get((j, k), ()), get((i, k), ())
+                if not (jk or ij or ik):
+                    continue
+                acc = [0] * n
+                for m, c in jk:
+                    for t, s in get((i, m), ()):
+                        acc[t] += c * s
+                for m, c in ij:
+                    for t, s in get((m, k), ()):
+                        acc[t] -= c * s
+                for m, c in ik:
+                    for t, s in get((m, j), ()):
+                        acc[t] += c * s
+                if any(acc):
+                    defect = _rational_vector(acc, table.denominator**2)
                     violations.append(LeibnizViolation(i + 1, j + 1, k + 1, defect))
     return violations
 
@@ -281,6 +348,25 @@ def complement_inside(outer: Subspace, inner: Subspace) -> tuple[Vector, ...]:
     return tuple(row for row, p in zip(outer.basis, outer.pivots) if p not in inner_pivots)
 
 
+def _span_int_rows(n: int, rows: Iterable[Mapping[int, int]]) -> Subspace:
+    """Span of sparse integer rows {column: int}; zero entries are dropped."""
+    e = Echelon(n, ({k: Fraction(v) for k, v in row.items() if v} for row in rows))
+    return Subspace(n, e.dense_rows(), e.pivots)
+
+
+def _right_brackets(a: Algebra, u: Sequence[Fraction]) -> list[dict[int, int]]:
+    """Sparse int rows proportional to [u, e_j], one per j with a nonzero bracket."""
+    xs, _ = _integer_vector(u)
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), terms in a.table.products.items():
+        x = xs[i]
+        if x:
+            row = rows.setdefault(j, {})
+            for k, c in terms:
+                row[k] = row.get(k, 0) + x * c
+    return list(rows.values())
+
+
 @lru_cache(maxsize=None)
 def lower_central_series(a: Algebra) -> tuple[Subspace, ...]:
     """L^1 (the whole space) down to the first repeated term.
@@ -288,12 +374,9 @@ def lower_central_series(a: Algebra) -> tuple[Subspace, ...]:
     L^{k+1} = [L^k, L^1].  For a nilpotent algebra the last entry is the
     zero subspace; otherwise the series stabilizes at a nonzero term.
     """
-    current = Subspace.full(a.dim)
-    series = [current]
-    basis_full = [unit_vector(a.dim, i) for i in range(a.dim)]
+    series = [Subspace.full(a.dim)]
     while True:
-        brackets = [bracket(a, u, v) for u in series[-1].basis for v in basis_full]
-        nxt = Subspace.span(a.dim, brackets)
+        nxt = _span_int_rows(a.dim, (row for u in series[-1].basis for row in _right_brackets(a, u)))
         if nxt == series[-1]:
             break
         series.append(nxt)
@@ -338,20 +421,19 @@ def classify_shape(a: Algebra) -> str:
 
 
 def _stacked_kernel(a: Algebra, use_left: bool, use_right: bool) -> Subspace:
-    """Kernel of the linear conditions [z, e_j] = 0 and/or [e_j, z] = 0."""
-    n = a.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
+    """Kernel of the linear conditions [z, e_j] = 0 and/or [e_j, z] = 0.
+
+    One sparse row per (side, j, k) with a nonzero coefficient; the rows
+    are the integer products, D times the conditions, same kernel.
+    """
+    rows: dict[tuple[bool, int, int], dict[int, Fraction]] = {}
+    for (i, j), terms in a.table.products.items():
+        for k, c in terms:
             if use_left:
-                row = tuple(a.sc[i][j][k] for i in range(n))
-                if any(row):
-                    rows.append(row)
+                rows.setdefault((True, j, k), {})[i] = Fraction(c)
             if use_right:
-                row = tuple(a.sc[j][i][k] for i in range(n))
-                if any(row):
-                    rows.append(row)
-    return Subspace.span(n, kernel_basis(Matrix(rows, cols=n)))
+                rows.setdefault((False, i, k), {})[j] = Fraction(c)
+    return Subspace.span(a.dim, Echelon(a.dim, rows.values()).kernel())
 
 
 @lru_cache(maxsize=None)
@@ -374,30 +456,35 @@ def right_annihilator(a: Algebra) -> Subspace:
 
 @lru_cache(maxsize=None)
 def squares_subspace(a: Algebra) -> Subspace:
-    """Span of {[x, x] : x in L}, via polarization on the basis."""
-    n = a.dim
-    vectors = [a.sc[i][i] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            vectors.append(vec_add(a.sc[i][j], a.sc[j][i]))
-    return Subspace.span(n, vectors)
+    """Span of {[x, x] : x in L}, via polarization on the basis.
+
+    The rows are [e_i, e_i] and [e_i, e_j] + [e_j, e_i] for i < j, times D.
+    """
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for (i, j), terms in a.table.products.items():
+        row = rows.setdefault((min(i, j), max(i, j)), {})
+        for k, c in terms:
+            row[k] = row.get(k, 0) + c
+    return _span_int_rows(a.dim, rows.values())
 
 
 def right_mult_operator(a: Algebra, x: Sequence[Fraction]) -> Matrix:
     """Matrix of y -> [y, x] in the standard basis (columns are images)."""
     if len(x) != a.dim:
         raise ValueError("vector must have length %d" % a.dim)
+    return Matrix.from_columns([bracket(a, unit_vector(a.dim, j), x) for j in range(a.dim)])
+
+
+def _right_mult_grid(a: Algebra, x: Sequence[int]) -> list[list[int]]:
+    """D times R_x for an integer vector x, as an int grid (rows are k)."""
     n = a.dim
-    columns = []
-    for j in range(n):
-        col = [Fraction(0)] * n
-        for i, xi in enumerate(x):
-            if xi:
-                for k, s in enumerate(a.sc[j][i]):
-                    if s:
-                        col[k] += xi * s
-        columns.append(tuple(col))
-    return Matrix.from_columns(columns)
+    grid = [[0] * n for _ in range(n)]
+    for (j, i), terms in a.table.products.items():
+        xi = x[i]
+        if xi:
+            for k, c in terms:
+                grid[k][j] += xi * c
+    return grid
 
 
 @dataclass(frozen=True)
@@ -432,9 +519,12 @@ def jordan_type_nilpotent(m: Matrix) -> CharSeq:
     """
     if m.rows != m.cols:
         raise ValueError("Jordan type of a non-square matrix")
-    n = m.rows
+    return _jordan_type_of_grid(linalg.integer_grid(m), m.rows)
+
+
+def _jordan_type_of_grid(grid: list[list[int]], n: int) -> CharSeq:
+    """Jordan type of a nilpotent n x n int grid, by Bareiss rank sequence."""
     ranks = [n]
-    grid = linalg.integer_grid(m)
     power = grid
     while True:
         r = linalg.integer_rank(power, n)
@@ -503,15 +593,48 @@ def _charseq_cached(a: Algebra) -> CharSeqWitness:
 
 def _scale_to_integers(v: Vector) -> Vector:
     """Clear denominators; the Jordan type of R_x is scale-invariant."""
-    lcm = 1
-    for x in v:
-        d = x.denominator
-        if d != 1:
-            lcm = lcm // math.gcd(lcm, d) * d
+    lcm = common_denominator(v)
     if lcm == 1:
         return v
     c = Fraction(lcm)
     return tuple(x * c for x in v)
+
+
+@lru_cache(maxsize=32)
+def _charseq_probes(n: int, trials: int, seed: int) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
+    """The nonzero candidate vectors in sweep order, each with its ints.
+
+    Every candidate has integer entries, so the ints are its numerators.
+    """
+    candidates: list[Vector] = [unit_vector(n, i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            candidates.append(vec_add(unit_vector(n, i), unit_vector(n, j)))
+            candidates.append(vec_sub(unit_vector(n, i), unit_vector(n, j)))
+    rng = random.Random(seed)
+    for _ in range(trials):
+        candidates.append(_scale_to_integers(_random_rational_vector(rng, n)))
+    return tuple((x, tuple(v.numerator for v in x)) for x in candidates if not is_zero_vector(x))
+
+
+def _quotient_functionals(space: Subspace) -> list[list[tuple[int, int]]]:
+    """Sparse integer functionals whose common kernel is `space`.
+
+    One per free column c of the rref basis: x_c - sum_p row_p[c] x_p,
+    times the common denominator of its coefficients.
+    """
+    functionals = []
+    pivots = set(space.pivots)
+    for c in range(space.ambient):
+        if c in pivots:
+            continue
+        f = {c: Fraction(1)}
+        for p, row in zip(space.pivots, space.basis):
+            if row[c]:
+                f[p] = -row[c]
+        den = common_denominator(f.values())
+        functionals.append([(k, v.numerator * (den // v.denominator)) for k, v in f.items()])
+    return functionals
 
 
 def _charseq_impl(a: Algebra, trials: int, seed: int) -> CharSeqWitness:
@@ -522,23 +645,16 @@ def _charseq_impl(a: Algebra, trials: int, seed: int) -> CharSeqWitness:
     if n == 0:
         return CharSeqWitness(CharSeq(()), (), True)
     derived = lower_central_series(a)[1] if len(lower_central_series(a)) > 1 else Subspace.span(n, [])
-    candidates: list[Vector] = [unit_vector(n, i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            candidates.append(vec_add(unit_vector(n, i), unit_vector(n, j)))
-            candidates.append(vec_sub(unit_vector(n, i), unit_vector(n, j)))
-    rng = random.Random(seed)
-    for _ in range(trials):
-        candidates.append(_scale_to_integers(_random_rational_vector(rng, n)))
     cap = s - 1
     # No block of R_x exceeds s - 1: R_x^k maps everything into L^{k+1}.
     target = _greedy_max_charseq(n, cap) if cap >= 1 else CharSeq((1,) * n)
+    quotient = _quotient_functionals(derived)
     best: CharSeq | None = None
     witness: Vector | None = None
-    for x in candidates:
-        if is_zero_vector(x) or derived.contains(x):
-            continue
-        seq = jordan_type_nilpotent(right_mult_operator(a, x))
+    for x, ints in _charseq_probes(n, trials, seed):
+        if not any(sum(ints[k] * v for k, v in f) for f in quotient):
+            continue  # x lies in L^2
+        seq = _jordan_type_of_grid(_right_mult_grid(a, ints), n)
         if best is None or best < seq:
             best, witness = seq, x
             if best == target:

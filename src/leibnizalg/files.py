@@ -13,6 +13,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
+from . import core
 from .cohomology import BilinearForm
 from .core import Algebra, algebra_from_products
 from .linalg import Matrix
@@ -39,6 +40,16 @@ def _index(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise FileFormatError("%s must be an integer, got %r" % (where, value))
     return value
+
+
+def _size(value: Any, where: str) -> int:
+    """A dimension or component count in 0..core.MAX_DIM."""
+    size = _index(value, where)
+    if size < 0:
+        raise FileFormatError("%s must be nonnegative" % where)
+    if size > core.MAX_DIM:
+        raise FileFormatError("%s = %d exceeds the limit of %d" % (where, size, core.MAX_DIM))
+    return size
 
 
 def _expect_dict(value: Any, where: str) -> dict:
@@ -81,11 +92,10 @@ def algebra_from_dict(data: dict) -> tuple[Algebra, dict]:
     """Parse an algebra document; returns the algebra and its metadata.
 
     The Leibniz identity is deliberately not checked here; `validate` and
-    the operations that need it decide that themselves.
+    the operations that need it decide that themselves.  A dim above
+    `core.MAX_DIM` is refused before anything is allocated.
     """
-    dim = _index(data.get("dim"), "dim")
-    if dim < 0:
-        raise FileFormatError("dim must be nonnegative")
+    dim = _size(data.get("dim"), "dim")
     records = _expect_list(data.get("brackets", []), "brackets")
     products: dict[tuple[int, int], dict[int, Fraction]] = {}
     seen: set[tuple[int, int, int]] = set()
@@ -129,12 +139,9 @@ def forms_to_dict(dim: int, forms: tuple[BilinearForm, ...]) -> dict:
 
 
 def forms_from_dict(data: dict) -> tuple[int, tuple[BilinearForm, ...]]:
-    dim = _index(data.get("dim"), "dim")
-    if dim < 0:
-        raise FileFormatError("dim must be nonnegative")
-    k = _index(data.get("k", 1), "k")
-    if k < 0:
-        raise FileFormatError("k must be nonnegative")
+    """Parse a cocycle document; dim and k above `core.MAX_DIM` are refused."""
+    dim = _size(data.get("dim"), "dim")
+    k = _size(data.get("k", 1), "k")
     records = _expect_list(data.get("entries", []), "entries")
     grids = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(k)]
     seen: set[tuple[int, int, int]] = set()

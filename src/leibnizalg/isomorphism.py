@@ -7,14 +7,21 @@ proposed change of basis exactly.  The search is deliberately incomplete:
 the budget ran out.  The characteristic sequence is a certified lower
 bound, so fingerprints that differ only in an uncertain charseq count as
 a tie rather than a distinction.
+
+Bracket images are compared on machine ints: a witness is scaled by its
+common denominator into sparse integer columns and checked against the
+integer structure constants of both algebras (`Algebra.table`).  The
+search walks its candidates in that integer form, and every candidate
+that passes is built as a `Matrix` and re-verified by
+`verify_isomorphism` before it is returned.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .core import (
@@ -30,10 +37,16 @@ from .core import (
     series_dims,
     squares_subspace,
 )
-from .linalg import Matrix, inverse
+from .linalg import Matrix, common_denominator, inverse
 
 SEARCH_SEED = 1729
 SEARCH_BUDGET = 10000
+# Largest candidate budget a search accepts.
+MAX_SEARCH_BUDGET = 1_000_000
+
+# A change of basis as sparse integer columns: column j lists the nonzero
+# (row, entry) pairs of d*p for the common denominator d of p.
+Columns = tuple[tuple[tuple[int, int], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -128,14 +141,56 @@ class IsoCheck:
     reason: str | None = None
 
 
-def _brackets_match(a: Algebra, b: Algebra, p: Matrix) -> tuple[int, int] | None:
-    """First 1-based basis pair where p breaks the bracket, else None."""
+def _integer_columns(p: Matrix) -> tuple[Columns, int]:
+    """The columns of d*p as sparse integer columns, and d."""
+    d = common_denominator(x for row in p.data for x in row)
+    return tuple(
+        tuple((r, x.numerator * (d // x.denominator)) for r, x in enumerate(p.column(j)) if x)
+        for j in range(p.cols)
+    ), d
+
+
+def _columns_matrix(cols: Columns) -> Matrix:
+    n = len(cols)
+    rows = [[0] * n for _ in range(n)]
+    for j, col in enumerate(cols):
+        for r, x in col:
+            rows[r][j] = x
+    return Matrix(rows, cols=n)
+
+
+def _brackets_match(a: Algebra, b: Algebra, cols: Columns, d: int) -> tuple[int, int] | None:
+    """First 1-based basis pair where p = cols/d breaks the bracket, else None.
+
+    With P = d*p and integer products C_a = D_a*c_a, C_b = D_b*c_b, the
+    condition p([e_i, e_j]_a) = [p e_i, p e_j]_b reads
+    d*D_b*(P C_a[i,j]) = D_a * sum_{k,l} P_ki P_lj C_b[k,l].
+    """
     n = a.dim
-    images = [p.column(j) for j in range(n)]
+    get_a = a.table.products.get
+    get_b = b.table.products.get
+    left, right = d * b.table.denominator, a.table.denominator
+    g = math.gcd(left, right)
+    left, right = left // g, right // g
     for i in range(n):
+        col_i = cols[i]
         for j in range(n):
-            lhs = p.apply(a.sc[i][j])
-            rhs = bracket(b, images[i], images[j])
+            lhs = [0] * n
+            for m, c in get_a((i, j), ()):
+                for t, x in cols[m]:
+                    lhs[t] += c * x
+            rhs = [0] * n
+            for k, x in col_i:
+                for l, y in cols[j]:
+                    terms = get_b((k, l))
+                    if terms:
+                        f = x * y
+                        for t, c in terms:
+                            rhs[t] += f * c
+            if left != 1:
+                lhs = [left * v for v in lhs]
+            if right != 1:
+                rhs = [right * v for v in rhs]
             if lhs != rhs:
                 return (i + 1, j + 1)
     return None
@@ -152,7 +207,7 @@ def verify_isomorphism(a: Algebra, b: Algebra, p: Matrix) -> IsoCheck:
         raise ValueError("change of basis must be %d x %d" % (a.dim, a.dim))
     if inverse(p) is None:
         return IsoCheck(False, None, "matrix is singular")
-    pair = _brackets_match(a, b, p)
+    pair = _brackets_match(a, b, *_integer_columns(p))
     if pair is not None:
         return IsoCheck(False, pair, "bracket images differ at (e%d, e%d)" % pair)
     return IsoCheck(True)
@@ -187,58 +242,57 @@ class SearchResult:
     trials: int = 0
 
 
-def _permutation_matrix(n: int, perm: tuple[int, ...], signs: tuple[int, ...] | None = None) -> Matrix:
-    cols = []
-    for i in range(n):
-        v = [Fraction(0)] * n
-        v[perm[i]] = Fraction(signs[i] if signs else 1)
-        cols.append(tuple(v))
-    return Matrix.from_columns(cols)
+def _permutation(perm: tuple[int, ...], signs: tuple[int, ...] | None = None) -> Columns:
+    """Column i is signs[i] (or 1) times e_{perm[i]}."""
+    return tuple(((r, signs[i] if signs else 1),) for i, r in enumerate(perm))
 
 
-def _random_unimodular(rng: random.Random, n: int) -> Matrix:
-    """Triangular with unit diagonal (up to sign), small integer entries."""
+def _random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """Rows of a triangular matrix with unit diagonal (up to sign), small integer entries."""
     upper = rng.random() < 0.5
     rows = []
     for i in range(n):
-        row = [Fraction(0)] * n
-        row[i] = Fraction(rng.choice((1, 1, 1, -1)))
+        row = [0] * n
+        row[i] = rng.choice((1, 1, 1, -1))
         rng_range = range(i + 1, n) if upper else range(0, i)
         for j in rng_range:
-            row[j] = Fraction(rng.randint(-2, 2))
-        rows.append(tuple(row))
-    return Matrix(rows, cols=n)
+            row[j] = rng.randint(-2, 2)
+        rows.append(row)
+    return rows
 
 
 def _search_candidates(n: int, budget: int, seed: int):
     """Deterministic candidate stream: permutations first, then seeded trials."""
     identity = tuple(range(n))
     reversal = tuple(reversed(range(n)))
-    yield _permutation_matrix(n, identity)
+    yield _permutation(identity)
     if reversal != identity:
-        yield _permutation_matrix(n, reversal)
+        yield _permutation(reversal)
     emitted = 2
     for perm in itertools.permutations(range(n)):
         if perm in (identity, reversal):
             continue
-        yield _permutation_matrix(n, perm)
+        yield _permutation(perm)
         emitted += 1
         if emitted >= budget // 2:
             break
     all_minus = tuple([-1] * n)
-    yield _permutation_matrix(n, identity, all_minus)
-    yield _permutation_matrix(n, reversal, all_minus)
+    yield _permutation(identity, all_minus)
+    yield _permutation(reversal, all_minus)
     for i in range(n):
         signs = tuple(-1 if t == i else 1 for t in range(n))
-        yield _permutation_matrix(n, identity, signs)
-        yield _permutation_matrix(n, reversal, signs)
+        yield _permutation(identity, signs)
+        yield _permutation(reversal, signs)
     rng = random.Random(seed)
     while True:
-        candidate = _random_unimodular(rng, n)
+        rows = _random_unimodular(rng, n)
         if rng.random() < 0.25:
-            perm = tuple(rng.sample(range(n), n))
-            candidate = _permutation_matrix(n, perm) @ candidate
-        yield candidate
+            # Left multiplication by a permutation moves row i to row perm[i].
+            permuted = list(rows)
+            for i, r in enumerate(rng.sample(range(n), n)):
+                permuted[r] = rows[i]
+            rows = permuted
+        yield tuple(tuple((r, row[j]) for r, row in enumerate(rows) if row[j]) for j in range(n))
 
 
 def search_isomorphism(
@@ -249,8 +303,11 @@ def search_isomorphism(
     Returns distinguished when an invariant separates the algebras, found
     with a verified change of basis when a candidate works, undetermined
     when the budget is exhausted.  A found matrix is always re-verified
-    with the full check before being returned.
+    with the full check before being returned.  The budget must lie in
+    1..MAX_SEARCH_BUDGET.
     """
+    if not 1 <= budget <= MAX_SEARCH_BUDGET:
+        raise ValueError("search budget %d outside 1..%d" % (budget, MAX_SEARCH_BUDGET))
     if a.dim != b.dim:
         return SearchResult("distinguished", invariant="dim")
     comparison = compare_fingerprints(fingerprint(a), fingerprint(b))
@@ -261,10 +318,10 @@ def search_isomorphism(
         if trials >= budget:
             break
         trials += 1
-        if _brackets_match(a, b, candidate) is None:
-            check = verify_isomorphism(a, b, candidate)
-            if check.ok:
-                return SearchResult("found", matrix=candidate, trials=trials)
+        if _brackets_match(a, b, candidate, 1) is None:
+            matrix = _columns_matrix(candidate)
+            if verify_isomorphism(a, b, matrix).ok:
+                return SearchResult("found", matrix=matrix, trials=trials)
     return SearchResult("undetermined", trials=trials)
 
 

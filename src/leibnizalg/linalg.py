@@ -13,8 +13,11 @@ this package solves have n^3 rows over n^2 unknowns with only a few
 nonzeros per row, which is where the sparse rows pay.  `rref`, `rank`,
 `kernel_basis`, `solve`, `inverse` and `core.Subspace.span` all go
 through it.  Rank sequences of powers of a matrix (Jordan types) use
-fraction-free Bareiss elimination over the integers instead, after
-clearing denominators, which is faster on those small dense grids.
+fraction-free Bareiss elimination over the integers instead, which is
+faster on those small dense grids.  `core` builds those grids as ints
+straight from an algebra's integer structure constants and feeds them
+to the Bareiss rank sequence; `integer_grid` clears the denominators of
+a `Matrix` for the same rank sequence.
 
 Determinism conventions, relied on throughout the package:
 
@@ -327,6 +330,16 @@ def inverse(m: Matrix) -> Matrix | None:
     return Matrix([[e.rows[p].get(n + j, _ZERO) for j in range(n)] for p in range(n)], cols=n)
 
 
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """Least common denominator of rationals (1 for none)."""
+    den = 1
+    for x in values:
+        d = x.denominator
+        if d != 1:
+            den = den // math.gcd(den, d) * d
+    return den
+
+
 def integer_grid(m: Matrix) -> list[list[int]]:
     """The entries times their least common denominator, as plain ints.
 
@@ -334,12 +347,7 @@ def integer_grid(m: Matrix) -> list[list[int]]:
     ranks as the powers of m, so rank sequences can use fraction-free
     elimination, which is much cheaper than Fraction arithmetic.
     """
-    scale = 1
-    for row in m.data:
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                scale = scale // math.gcd(scale, d) * d
+    scale = common_denominator(x for row in m.data for x in row)
     return [[x.numerator * (scale // x.denominator) for x in row] for row in m.data]
 
 

@@ -126,6 +126,12 @@ def test_search_finds_relabeled_chain():
     assert verify_isomorphism(catalog.make("NF", 3), b, result.matrix).ok
 
 
+def test_search_finds_zero_dimensional_algebras_isomorphic():
+    result = search_isomorphism(abelian_algebra(0), abelian_algebra(0))
+    assert (result.status, result.trials) == ("found", 1)
+    assert result.matrix == Matrix([], cols=0)
+
+
 def test_search_distinguishes_by_invariant():
     result = search_isomorphism(catalog.make("NF", 3), abelian_algebra(3))
     assert result.status == "distinguished"
