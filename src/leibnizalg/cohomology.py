@@ -16,17 +16,23 @@ the defect of a form at a basis triple is row . theta, and violation
 reports, the cocycle test and the ZL^2 kernel all read those rows.
 `condition_matrix` is a dense view of them for display and measurement,
 not the path to ZL^2.
+
+Membership in span(BL^2 + representatives) and the class coordinates of
+a form both read one echelon per base, `CohomologyBasis.classes`, cached
+with the basis: reducing a form against it leaves a residue whose form
+part is empty exactly for members, and whose tag part is minus the class
+coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Algebra, Subspace
-from .linalg import Echelon, Matrix, Vector, frac, rank, solve, sparse, zero_vector
+from .linalg import Echelon, Matrix, Vector, frac, rank, sparse, zero_vector
 
 
 @dataclass(frozen=True)
@@ -115,11 +121,16 @@ def combine(forms: Sequence[BilinearForm], coeffs: Sequence[Fraction]) -> Biline
         raise ValueError("empty combination")
     if len(forms) != len(coeffs):
         raise ValueError("coefficient count mismatch")
-    acc = BilinearForm.zero(forms[0].dim)
+    n = forms[0].dim
+    acc = [Fraction(0)] * (n * n)
     for form, c in zip(forms, coeffs):
         if c:
-            acc = acc.add(form.scale(c))
-    return acc
+            if form.dim != n:
+                raise ValueError("dimension mismatch")
+            for p, x in enumerate(form.flatten()):
+                if x:
+                    acc[p] += c * x
+    return BilinearForm.from_flat(n, acc)
 
 
 ConditionRow = tuple[tuple[int, int, int], dict[int, Fraction]]
@@ -243,6 +254,24 @@ class CohomologyBasis:
     def dim(self) -> int:
         return len(self.representatives)
 
+    @cached_property
+    def classes(self) -> Echelon:
+        """One echelon over the n^2 form columns and dim tag columns.
+
+        Its rows are [b | 0] for each BL^2 basis vector b and
+        [rep_t | e_t] for each representative.  BL^2 and the
+        representatives are independent, so every pivot is a form column
+        and a form reduces to [0 | -c] exactly when it equals
+        sum_t c_t rep_t modulo BL^2.
+        """
+        width = self.cocycles.dim ** 2
+        rows = [sparse(b) for b in self.coboundaries.space.basis]
+        for t, rep in enumerate(self.representatives):
+            row = sparse(rep.flatten())
+            row[width + t] = Fraction(1)
+            rows.append(row)
+        return Echelon(width + self.dim, rows)
+
 
 @lru_cache(maxsize=None)
 def cohomology_basis(a: Algebra) -> CohomologyBasis:
@@ -271,20 +300,15 @@ def cohomology_class(a: Algebra, form: BilinearForm) -> tuple[Fraction, ...] | N
     """Coordinates of the class of `form` against the representatives.
 
     None when the form is not a cocycle.  A zero tuple means the form is a
-    coboundary.
+    coboundary.  One reduce against the cached `CohomologyBasis.classes`.
     """
     _check_form_dim(a, form)
     basis = cohomology_basis(a)
-    b_vectors = list(basis.coboundaries.space.basis)
-    h_vectors = [rep.flatten() for rep in basis.representatives]
-    columns = b_vectors + h_vectors
-    if not columns:
-        return () if form.is_zero() else None
-    system = Matrix.from_columns([tuple(col) for col in columns])
-    solution = solve(system, form.flatten())
-    if solution is None:
+    width = a.dim * a.dim
+    residue = basis.classes.reduce(sparse(form.flatten()))
+    if any(p < width for p in residue):
         return None
-    return tuple(solution[len(b_vectors) :])
+    return tuple(-residue.get(width + t, Fraction(0)) for t in range(basis.dim))
 
 
 def preferred_cohomology_basis(

@@ -97,10 +97,16 @@ def central_extension(spec: ExtensionSpec) -> Algebra:
     t-th cocycle component feeds coordinate n + t; the adjoined directions
     are central.  The result is Leibniz exactly because the components are
     cocycles, so it is returned pre-checked.
+
+    Each component is validated by a membership test: over a Leibniz base
+    a form is a cocycle exactly when it has a cohomology class.  A
+    rejected component is handed to `validate_cocycle`, whose error names
+    the first violating triple in (i, j, k) sweep order.
     """
     base = spec.base
     _require_leibniz(base)
-    validate_cocycle(spec)
+    if any(cohomology_class(base, form) is None for form in spec.forms):
+        validate_cocycle(spec)  # raises, naming the first violating triple
     n, k = base.dim, spec.k
     dim = n + k
     rows = []

@@ -13,7 +13,8 @@ common denominator into sparse integer columns and checked against the
 integer structure constants of both algebras (`Algebra.table`).  The
 search walks its candidates in that integer form, and every candidate
 that passes is built as a `Matrix` and re-verified by
-`verify_isomorphism` before it is returned.
+`verify_isomorphism` before it is returned.  A witness is rejected as
+singular by the fraction-free (Bareiss) rank of its integer grid.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .core import (
     series_dims,
     squares_subspace,
 )
-from .linalg import Matrix, common_denominator, inverse
+from .linalg import Matrix, common_denominator, integer_grid, integer_rank, inverse
 
 SEARCH_SEED = 1729
 SEARCH_BUDGET = 10000
@@ -205,7 +206,7 @@ def verify_isomorphism(a: Algebra, b: Algebra, p: Matrix) -> IsoCheck:
         raise ValueError("dimension mismatch: %d vs %d" % (a.dim, b.dim))
     if p.rows != a.dim or p.cols != a.dim:
         raise ValueError("change of basis must be %d x %d" % (a.dim, a.dim))
-    if inverse(p) is None:
+    if integer_rank(integer_grid(p), p.cols) < p.cols:
         return IsoCheck(False, None, "matrix is singular")
     pair = _brackets_match(a, b, *_integer_columns(p))
     if pair is not None:

@@ -196,7 +196,7 @@ def test_invalid_cocycle_error_matches_oracle(data):
         check = verify_isomorphism(rebuilt, central_extension(spec), report.change_of_basis)
         assert check.ok, check.reason
         return
-    for check in (validate_cocycle, reduce_extension):
+    for check in (validate_cocycle, reduce_extension, central_extension):
         with pytest.raises(InvalidCocycleError) as exc:
             check(spec)
         assert (exc.value.component, exc.value.triple, exc.value.defect) == expected

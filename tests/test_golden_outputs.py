@@ -7,21 +7,32 @@ rational basis.  It was recorded with the dense Gauss-Jordan `rref` that
 the sparse row kernel replaced; any change to an RREF, a kernel basis, a
 chosen representative or a coefficient size shows here as a diff.
 
+`golden_reduce.json` holds the canonical JSON of the `SplitReport`
+fields of `reduce_extension` for one seeded `random_cocycle_forms` spec
+per (F1/F2, n = 5..8, k = 1..6), a k = 0 spec and a 0-dimensional base.
+It was recorded with the `solve`-per-form `cohomology_class` and the
+dense `combine` that the cached tagged echelon replaced.
+
 Regenerate only for a change meant to alter these outputs:
 
     PYTHONPATH=src python tests/test_golden_outputs.py > tests/golden_outputs.json
+    PYTHONPATH=src python tests/test_golden_outputs.py reduce > tests/golden_reduce.json
 """
 
 import json
+import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 from leibnizalg import catalog
-from leibnizalg.cohomology import coboundary_space, cocycle_space, cohomology_basis
+from leibnizalg.cohomology import BilinearForm, coboundary_space, cocycle_space, cohomology_basis
+from leibnizalg.extension import make_spec, random_cocycle_forms, reduce_extension
 from leibnizalg.isomorphism import fingerprint, transform_algebra
 from leibnizalg.linalg import Matrix
 
 FIXTURE = Path(__file__).with_name("golden_outputs.json")
+REDUCE_FIXTURE = Path(__file__).with_name("golden_reduce.json")
 
 MEMBERS = (
     ("NF", 5, {}),
@@ -72,6 +83,34 @@ def payload():
     return out
 
 
+def reduce_specs():
+    """(label, spec) pairs: seeded random cocycles, a k = 0 spec, a 0-dim base."""
+    for family in ("F1", "F2"):
+        for n in range(5, 9):
+            base = catalog.make(family, n)
+            for k in range(1, 7):
+                rng = random.Random(100 * n + 10 * k + (family == "F2"))
+                yield "%s-%d-k%d" % (family, n, k), make_spec(base, *random_cocycle_forms(base, k, rng))
+    yield "F1-5-k0", make_spec(catalog.make("F1", 5))
+    yield "abelian-0-k2", make_spec(catalog.make("abelian", 0), BilinearForm.zero(0), BilinearForm.zero(0))
+
+
+def reduce_payload():
+    out = []
+    for label, spec in reduce_specs():
+        report = reduce_extension(spec)
+        out.append({
+            "spec": label,
+            "class_rank": report.class_rank,
+            "abelian_dim": report.abelian_dim,
+            "v_basis": vectors(report.v_basis.data),
+            "reduced": vectors(form.flatten() for form in report.reduced),
+            "section_shift": vectors(report.section_shift),
+            "change_of_basis": vectors(report.change_of_basis.data),
+        })
+    return out
+
+
 def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -80,5 +119,9 @@ def test_outputs_match_golden_fixture():
     assert dumps(payload()) == FIXTURE.read_text()
 
 
+def test_reduce_reports_match_golden_fixture():
+    assert dumps(reduce_payload()) == REDUCE_FIXTURE.read_text()
+
+
 if __name__ == "__main__":
-    print(dumps(payload()), end="")
+    print(dumps(reduce_payload() if sys.argv[1:] == ["reduce"] else payload()), end="")

@@ -16,7 +16,7 @@ from leibnizalg.isomorphism import (
     transform_algebra,
     verify_isomorphism,
 )
-from leibnizalg.linalg import Matrix, vec
+from leibnizalg.linalg import Matrix, inverse, vec
 
 
 def diag(*entries):
@@ -62,6 +62,41 @@ def test_singular_witness_rejected():
     check = verify_isomorphism(a, a, Matrix.zeros(3, 3))
     assert not check.ok
     assert "singular" in check.reason
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def square_matrices(draw):
+    """0x0, nonsingular (triangular times triangular) or singular rational matrices."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("nonsingular", "singular")))
+    if n == 0:
+        return Matrix([], cols=0)
+    if kind == "nonsingular":
+        nonzero = rationals.filter(bool)
+        lower = Matrix([[draw(nonzero) if c == r else (draw(rationals) if c < r else 0)
+                         for c in range(n)] for r in range(n)])
+        upper = Matrix([[draw(nonzero) if c == r else (draw(rationals) if c > r else 0)
+                         for c in range(n)] for r in range(n)])
+        return lower @ upper
+    inner = draw(st.integers(0, n - 1))
+    if inner == 0:
+        return Matrix.zeros(n, n)
+    left = Matrix([[draw(rationals) for _ in range(inner)] for _ in range(n)])
+    right = Matrix([[draw(rationals) for _ in range(n)] for _ in range(inner)])
+    return left @ right
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_singular_witness_matches_inverse_oracle(p):
+    a = abelian_algebra(p.rows)
+    check = verify_isomorphism(a, a, p)
+    singular = inverse(p) is None
+    assert check.ok == (not singular)
+    assert (check.reason == "matrix is singular") == singular
 
 
 def test_scaling_normalizes_last_parameter():
