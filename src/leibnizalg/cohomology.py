@@ -230,8 +230,7 @@ def coboundary_generator(a: Algebra, m: int) -> BilinearForm:
 
     Its value at (e_i, e_j) is the e_{m+1}-coordinate of [e_i, e_j].
     """
-    n = a.dim
-    return BilinearForm(n, tuple(tuple(a.sc[i][j][m] for j in range(n)) for i in range(n)))
+    return BilinearForm.from_entries(a.dim, {(i, j): c for i, j, k, c in a.products() if k == m + 1})
 
 
 @lru_cache(maxsize=None)

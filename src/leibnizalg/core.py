@@ -11,16 +11,20 @@ rational linear algebra in `linalg`.  All values are immutable; the
 module-level operations are pure functions, and the expensive structural
 ones are memoized on the algebra value.
 
-`Algebra.sc` is the dense table as given.  The hot loops read a second,
-canonical view of it instead, built once per algebra: the least common
-denominator D of the structure constants and the nonzero products D*c as
-plain ints, keyed by basis pair (`Algebra.table`).  Brackets, the
-Leibniz check, the lower central series, the center, annihilator and
-squares systems and the right multiplication grids of the characteristic
+An algebra stores its structure constants in one form, the canonical
+integer table (`Algebra.table`): the least common denominator D of the
+structure constants and the nonzero products D*c as plain ints, keyed by
+basis pair.  Every constructor hands 1-based (i, j, k, c) records, the
+same records `Algebra.products()` yields and files carry, to the one
+function that makes that table, `_from_records`.  Brackets, the Leibniz
+check, the lower central series, the center, annihilator and squares
+systems and the right multiplication grids of the characteristic
 sequence run on machine ints and divide by D only where a rational
-result is returned.  Equality and the hash of an algebra are computed
-from the same view, the hash once, so a memo lookup does not walk the
-n^3 table.
+result is returned.  Equality and
+the hash of an algebra are computed from the table, the hash once, so a
+memo lookup does not walk n^3 entries.  The dense n x n x n `Fraction`
+grid `Algebra.sc` is a view derived on demand, for display and for
+reference checks.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .linalg import (
     unit_vector,
     vec_add,
     vec_sub,
-    zero_vector,
 )
 
 _ZERO = Fraction(0)
@@ -117,42 +120,34 @@ def _rational_vector(ints: Sequence[int], den: int) -> Vector:
 
 @dataclass(frozen=True, eq=False)
 class Algebra:
-    """A finite-dimensional algebra given by structure constants.
+    """A finite-dimensional algebra given by its integer structure table.
 
-    `sc[i][j]` is the coordinate vector of [e_i, e_j] (0-based).  Labels
-    are presentation only and do not take part in equality or hashing.
-    `checked` records whether the Leibniz identity was verified at
-    construction; it is metadata, not part of the value.  Equality and
-    the hash compare `table`, the canonical integer view of `sc`.
+    `table` is the canonical integer form of the structure constants, the
+    only one stored; `sc[i][j]`, the coordinate vector of [e_i, e_j]
+    (0-based), is a dense view derived from it.  Labels are presentation
+    only and do not take part in equality or hashing.  `checked` records
+    whether the Leibniz identity was verified at construction; it is
+    metadata, not part of the value.  Equality and the hash compare
+    `table`.
     """
 
     dim: int
-    sc: tuple[tuple[Vector, ...], ...]
+    table: IntegerTable
     labels: tuple[str, ...] | None = field(default=None, compare=False)
     checked: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 0:
             raise ValueError("negative dimension")
-        if len(self.sc) != self.dim or any(
-            len(row) != self.dim or any(len(v) != self.dim for v in row) for row in self.sc
-        ):
-            raise ValueError("structure constants must form a dim x dim grid of dim-vectors")
 
     @cached_property
-    def table(self) -> IntegerTable:
-        """The canonical integer view of `sc`, built on first use."""
-        nonzero: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-        for i, row in enumerate(self.sc):
-            for j, cell in enumerate(row):
-                terms = [(k, c) for k, c in enumerate(cell) if c]
-                if terms:
-                    nonzero[i, j] = terms
-        den = common_denominator(c for terms in nonzero.values() for _, c in terms)
-        return IntegerTable(den, {
-            key: tuple((k, c.numerator * (den // c.denominator)) for k, c in terms)
-            for key, terms in nonzero.items()
-        })
+    def sc(self) -> tuple[tuple[Vector, ...], ...]:
+        """The dense dim x dim grid of bracket vectors, built on first use."""
+        n = self.dim
+        grid = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
+        for i, j, k, c in self.products():
+            grid[i - 1][j - 1][k - 1] = c
+        return tuple(tuple(tuple(v) for v in row) for row in grid)
 
     @cached_property
     def _hash(self) -> int:
@@ -181,6 +176,28 @@ class Algebra:
                 yield (i + 1, j + 1, k + 1, Fraction(c, den))
 
 
+def _from_records(
+    dim: int,
+    records: Iterable[tuple[int, int, int, Fraction]],
+    labels: Sequence[str] | None = None,
+    checked: bool = False,
+) -> Algebra:
+    """The algebra whose structure constants are 1-based (i, j, k, c) records.
+
+    Each (i, j, k) occurs at most once and omitted ones are zero.  Zero
+    records are dropped, the rest sorted into (i, j) sweep order with k
+    ascending and put over their least common denominator, so equal
+    constants give equal tables whatever order they came in.
+    """
+    nonzero = sorted((i - 1, j - 1, k - 1, c) for i, j, k, c in records if c)
+    den = common_denominator(c for *_, c in nonzero)
+    products: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, j, k, c in nonzero:
+        products.setdefault((i, j), []).append((k, c.numerator * (den // c.denominator)))
+    table = IntegerTable(den, {key: tuple(terms) for key, terms in products.items()})
+    return Algebra(dim, table, tuple(labels) if labels is not None else None, checked)
+
+
 def algebra_from_products(
     dim: int,
     products: Mapping[tuple[int, int], Mapping[int, int | str | Fraction]],
@@ -195,20 +212,15 @@ def algebra_from_products(
     dimension above MAX_DIM is refused before the table is allocated.
     """
     require_dim(dim)
-    table = [[list(zero_vector(dim)) for _ in range(dim)] for _ in range(dim)]
+    records = []
     for (i, j), targets in products.items():
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise ValueError("product index (%d, %d) out of range for dim %d" % (i, j, dim))
         for k, c in targets.items():
             if not 1 <= k <= dim:
                 raise ValueError("target index %d out of range for dim %d" % (k, dim))
-            table[i - 1][j - 1][k - 1] = frac(c)
-    algebra = Algebra(
-        dim=dim,
-        sc=tuple(tuple(tuple(v) for v in row) for row in table),
-        labels=tuple(labels) if labels is not None else None,
-        checked=False,
-    )
+            records.append((i, j, k, frac(c)))
+    algebra = _from_records(dim, records, labels)
     if check:
         violations = check_leibniz(algebra)
         if violations:
@@ -218,26 +230,14 @@ def algebra_from_products(
 
 
 def abelian_algebra(dim: int) -> Algebra:
-    zero = zero_vector(dim)
-    return Algebra(dim=dim, sc=tuple(tuple(zero for _ in range(dim)) for _ in range(dim)), checked=True)
+    return _from_records(dim, (), checked=True)
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     """Direct sum with b's basis appended after a's."""
-    n, m = a.dim, b.dim
-    dim = n + m
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            if i < n and j < n:
-                row.append(a.sc[i][j] + zero_vector(m))
-            elif i >= n and j >= n:
-                row.append(zero_vector(n) + b.sc[i - n][j - n])
-            else:
-                row.append(zero_vector(dim))
-        rows.append(tuple(row))
-    return Algebra(dim=dim, sc=tuple(rows), checked=a.checked and b.checked)
+    n = a.dim
+    shifted = ((i + n, j + n, k + n, c) for i, j, k, c in b.products())
+    return _from_records(n + b.dim, [*a.products(), *shifted], checked=a.checked and b.checked)
 
 
 def bracket(a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
@@ -569,28 +569,6 @@ def _random_rational_vector(rng: random.Random, n: int) -> Vector:
     return tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n))
 
 
-def characteristic_sequence(
-    a: Algebra, trials: int = CHARSEQ_RANDOM_TRIALS, seed: int = CHARSEQ_SEED
-) -> CharSeqWitness:
-    """Best Jordan type of R_x over a deterministic candidate sweep.
-
-    Candidates are the basis vectors, all pairwise sums e_i +/- e_j, and
-    `trials` seeded pseudo-random rational vectors, each restricted to lie
-    outside L^2.  The result is a certified lower bound in the
-    lexicographic order; `exact` is True only when the sequence reaches
-    the a-priori maximum compatible with the nilindex (the largest block
-    of R_x is at most nilindex - 1 because R_x^k maps into L^{k+1}).
-    """
-    if trials == CHARSEQ_RANDOM_TRIALS and seed == CHARSEQ_SEED:
-        return _charseq_cached(a)
-    return _charseq_impl(a, trials, seed)
-
-
-@lru_cache(maxsize=None)
-def _charseq_cached(a: Algebra) -> CharSeqWitness:
-    return _charseq_impl(a, CHARSEQ_RANDOM_TRIALS, CHARSEQ_SEED)
-
-
 def _scale_to_integers(v: Vector) -> Vector:
     """Clear denominators; the Jordan type of R_x is scale-invariant."""
     lcm = common_denominator(v)
@@ -601,7 +579,7 @@ def _scale_to_integers(v: Vector) -> Vector:
 
 
 @lru_cache(maxsize=32)
-def _charseq_probes(n: int, trials: int, seed: int) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
+def _charseq_probes(n: int) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
     """The nonzero candidate vectors in sweep order, each with its ints.
 
     Every candidate has integer entries, so the ints are its numerators.
@@ -611,8 +589,8 @@ def _charseq_probes(n: int, trials: int, seed: int) -> tuple[tuple[Vector, tuple
         for j in range(i + 1, n):
             candidates.append(vec_add(unit_vector(n, i), unit_vector(n, j)))
             candidates.append(vec_sub(unit_vector(n, i), unit_vector(n, j)))
-    rng = random.Random(seed)
-    for _ in range(trials):
+    rng = random.Random(CHARSEQ_SEED)
+    for _ in range(CHARSEQ_RANDOM_TRIALS):
         candidates.append(_scale_to_integers(_random_rational_vector(rng, n)))
     return tuple((x, tuple(v.numerator for v in x)) for x in candidates if not is_zero_vector(x))
 
@@ -637,7 +615,18 @@ def _quotient_functionals(space: Subspace) -> list[list[tuple[int, int]]]:
     return functionals
 
 
-def _charseq_impl(a: Algebra, trials: int, seed: int) -> CharSeqWitness:
+@lru_cache(maxsize=None)
+def characteristic_sequence(a: Algebra) -> CharSeqWitness:
+    """Best Jordan type of R_x over a deterministic candidate sweep.
+
+    Candidates are the basis vectors, all pairwise sums e_i +/- e_j, and
+    CHARSEQ_RANDOM_TRIALS pseudo-random rational vectors drawn with
+    CHARSEQ_SEED, each restricted to lie outside L^2.  The result is a
+    certified lower bound in the lexicographic order; `exact` is True only
+    when the sequence reaches the a-priori maximum compatible with the
+    nilindex (the largest block of R_x is at most nilindex - 1 because
+    R_x^k maps into L^{k+1}).
+    """
     s = nilindex(a)
     if s is None:
         raise NotNilpotentError("characteristic sequence needs a nilpotent algebra")
@@ -651,7 +640,7 @@ def _charseq_impl(a: Algebra, trials: int, seed: int) -> CharSeqWitness:
     quotient = _quotient_functionals(derived)
     best: CharSeq | None = None
     witness: Vector | None = None
-    for x, ints in _charseq_probes(n, trials, seed):
+    for x, ints in _charseq_probes(n):
         if not any(sum(ints[k] * v for k, v in f) for f in quotient):
             continue  # x lies in L^2
         seq = _jordan_type_of_grid(_right_mult_grid(a, ints), n)
@@ -713,17 +702,10 @@ def natural_gradation(a: Algebra) -> GradedAlgebra:
     inv = inverse(basis_matrix) if n else None
     if n and inv is None:
         raise RuntimeError("adapted basis is singular; series computation is inconsistent")
-    rows = []
+    records = []
     for u in range(n):
-        row = []
         for v in range(n):
-            w = bracket(a, adapted[u], adapted[v])
-            coords = list(inv.apply(w)) if inv is not None else []
+            coords = inv.apply(bracket(a, adapted[u], adapted[v]))
             target = layers[u] + layers[v]
-            for t in range(n):
-                if layers[t] != target:
-                    coords[t] = Fraction(0)
-            row.append(tuple(coords))
-        rows.append(tuple(row))
-    graded = Algebra(dim=n, sc=tuple(rows), checked=False)
-    return GradedAlgebra(tuple(layer_dims), graded, basis_matrix)
+            records.extend((u + 1, v + 1, t + 1, c) for t, c in enumerate(coords) if layers[t] == target)
+    return GradedAlgebra(tuple(layer_dims), _from_records(n, records), basis_matrix)

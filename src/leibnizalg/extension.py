@@ -26,8 +26,8 @@ from .cohomology import (
     cohomology_class,
     combine,
 )
-from .core import Algebra, LeibnizError, Subspace, center, check_leibniz
-from .linalg import Matrix, Vector, inverse, rref, solve, unit_vector, zero_vector
+from .core import Algebra, LeibnizError, Subspace, _from_records, center, check_leibniz
+from .linalg import Matrix, Vector, inverse, rref, solve, unit_vector
 
 
 class InvalidCocycleError(ValueError):
@@ -108,20 +108,14 @@ def central_extension(spec: ExtensionSpec) -> Algebra:
     if any(cohomology_class(base, form) is None for form in spec.forms):
         validate_cocycle(spec)  # raises, naming the first violating triple
     n, k = base.dim, spec.k
-    dim = n + k
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            if i < n and j < n:
-                tail = tuple(form.values[i][j] for form in spec.forms)
-                row.append(base.sc[i][j] + tail)
-            else:
-                row.append(zero_vector(dim))
-        rows.append(tuple(row))
+    records = list(base.products())
+    for t, form in enumerate(spec.forms):
+        records.extend(
+            (i + 1, j + 1, n + t + 1, c) for i, row in enumerate(form.values) for j, c in enumerate(row)
+        )
     base_labels = tuple(base.label(i) for i in range(n))
     ext_labels = base_labels + tuple("x%d" % (t + 1) for t in range(k))
-    return Algebra(dim=dim, sc=tuple(rows), labels=ext_labels, checked=True)
+    return _from_records(n + k, records, ext_labels, checked=True)
 
 
 def adjoined_subspace(spec: ExtensionSpec) -> Subspace:
@@ -204,7 +198,10 @@ def reduce_extension(spec: ExtensionSpec) -> SplitReport:
     assert w is not None  # row operations are invertible
     transformed = [combine(spec.forms, u.row(s)) for s in range(k)]
     # Column m is the flattened coboundary of the m-th coordinate functional.
-    generators = Matrix([base.sc[i][j] for i in range(n) for j in range(n)], cols=n)
+    grid = [[Fraction(0)] * n for _ in range(n * n)]
+    for i, j, m, c in base.products():
+        grid[(i - 1) * n + j - 1][m - 1] = c
+    generators = Matrix(grid, cols=n)
     shifts: list[Vector] = []
     for s in range(d, k):
         phi = solve(generators, transformed[s].flatten())

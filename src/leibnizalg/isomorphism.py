@@ -28,6 +28,7 @@ from functools import lru_cache
 from .core import (
     Algebra,
     CharSeq,
+    _from_records,
     bracket,
     center,
     characteristic_sequence,
@@ -226,13 +227,13 @@ def transform_algebra(a: Algebra, q: Matrix) -> Algebra:
         raise ValueError("change of basis is singular")
     n = a.dim
     cols = [q.column(i) for i in range(n)]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(qinv.apply(bracket(a, cols[i], cols[j])))
-        rows.append(tuple(row))
-    return Algebra(dim=n, sc=tuple(rows), checked=a.checked)
+    records = (
+        (i + 1, j + 1, k + 1, c)
+        for i in range(n)
+        for j in range(n)
+        for k, c in enumerate(qinv.apply(bracket(a, cols[i], cols[j])))
+    )
+    return _from_records(n, records, checked=a.checked)
 
 
 @dataclass(frozen=True)

@@ -80,10 +80,6 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vec_scale(c: Fraction, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
-
-
 def is_zero_vector(v: Vector) -> bool:
     return not any(v)
 
@@ -128,9 +124,6 @@ class Matrix:
         height = len(columns[0])
         return Matrix([[col[i] for col in columns] for i in range(height)], cols=len(columns))
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
-
     def row(self, i: int) -> Vector:
         return self.data[i]
 
@@ -162,9 +155,6 @@ class Matrix:
             cols=other.cols,
         )
 
-    def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Matrix) and self.cols == other.cols and self.data == other.data
 
@@ -173,11 +163,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return "Matrix(%d x %d)" % (self.rows, self.cols)
-
-    def pretty(self) -> str:
-        cells = [[str(x) for x in row] for row in self.data]
-        width = max((len(c) for row in cells for c in row), default=1)
-        return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)
 
 
 def _axpy(y: dict[int, Fraction], a: Fraction, x: Mapping[int, Fraction]) -> None:

@@ -157,12 +157,14 @@ def test_criterion_6_catalog_grid_and_planted_defect():
             if not a.checked and check_leibniz(a):
                 bad.append((fam, d))
     # the checker must flag a planted defect, not just accept everything
-    from leibnizalg.core import Algebra
+    from leibnizalg.core import algebra_from_products
     chain = catalog.make("NF", 6)
-    sc = [[list(v) for v in row] for row in chain.sc]
-    sc[1][1][0] += 1
-    mutant = Algebra(dim=6, sc=tuple(tuple(tuple(v) for v in row) for row in sc),
-                     checked=False)
+    records = {}
+    for i, j, k, c in chain.products():
+        records.setdefault((i, j), {})[k] = c
+    cell = records.setdefault((2, 2), {})
+    cell[1] = cell.get(1, 0) + 1
+    mutant = algebra_from_products(6, records, check=False)
     detected = bool(check_leibniz(mutant))
     _line(6, not bad and detected,
           "every family instance through dim 10 passes the identity check "

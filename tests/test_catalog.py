@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibnizalg import catalog
-from leibnizalg.core import Algebra, bracket, check_leibniz, nilindex
+from leibnizalg.core import algebra_from_products, bracket, check_leibniz, nilindex
 from leibnizalg.isomorphism import compare_fingerprints, fingerprint
 from leibnizalg.linalg import unit_vector
 
@@ -157,13 +157,12 @@ def test_labels_describe_generators():
 
 
 def _mutate(a, i, j, k, delta):
-    sc = [[list(v) for v in row] for row in a.sc]
-    sc[i][j][k] += delta
-    return Algebra(
-        dim=a.dim,
-        sc=tuple(tuple(tuple(v) for v in row) for row in sc),
-        checked=False,
-    )
+    records = {}
+    for r, s, t, c in a.products():
+        records.setdefault((r, s), {})[t] = c
+    cell = records.setdefault((i + 1, j + 1), {})
+    cell[k + 1] = cell.get(k + 1, 0) + delta
+    return algebra_from_products(a.dim, records, check=False)
 
 
 def test_detects_planted_defect_across_families():

@@ -13,10 +13,16 @@ per (F1/F2, n = 5..8, k = 1..6), a k = 0 spec and a 0-dimensional base.
 It was recorded with the `solve`-per-form `cohomology_class` and the
 dense `combine` that the cached tagged echelon replaced.
 
+`golden_reproduce.json` holds `reproduce.run(id).as_dict()` of every
+experiment at the default seed, in `experiment_ids()` order.  It was
+recorded while `Algebra` still stored the dense `Fraction` grid that
+the integer table replaced.
+
 Regenerate only for a change meant to alter these outputs:
 
     PYTHONPATH=src python tests/test_golden_outputs.py > tests/golden_outputs.json
     PYTHONPATH=src python tests/test_golden_outputs.py reduce > tests/golden_reduce.json
+    PYTHONPATH=src python tests/test_golden_outputs.py reproduce > tests/golden_reproduce.json
 """
 
 import json
@@ -25,7 +31,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from leibnizalg import catalog
+from leibnizalg import catalog, reproduce
 from leibnizalg.cohomology import BilinearForm, coboundary_space, cocycle_space, cohomology_basis
 from leibnizalg.extension import make_spec, random_cocycle_forms, reduce_extension
 from leibnizalg.isomorphism import fingerprint, transform_algebra
@@ -33,6 +39,7 @@ from leibnizalg.linalg import Matrix
 
 FIXTURE = Path(__file__).with_name("golden_outputs.json")
 REDUCE_FIXTURE = Path(__file__).with_name("golden_reduce.json")
+REPRODUCE_FIXTURE = Path(__file__).with_name("golden_reproduce.json")
 
 MEMBERS = (
     ("NF", 5, {}),
@@ -111,6 +118,10 @@ def reduce_payload():
     return out
 
 
+def reproduce_payload():
+    return [reproduce.run(experiment).as_dict() for experiment in reproduce.experiment_ids()]
+
+
 def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -123,5 +134,10 @@ def test_reduce_reports_match_golden_fixture():
     assert dumps(reduce_payload()) == REDUCE_FIXTURE.read_text()
 
 
+def test_reproduce_reports_match_golden_fixture():
+    assert dumps(reproduce_payload()) == REPRODUCE_FIXTURE.read_text()
+
+
 if __name__ == "__main__":
-    print(dumps(reduce_payload() if sys.argv[1:] == ["reduce"] else payload()), end="")
+    PAYLOADS = {"reduce": reduce_payload, "reproduce": reproduce_payload}
+    print(dumps(PAYLOADS.get(" ".join(sys.argv[1:]), payload)()), end="")

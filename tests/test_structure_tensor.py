@@ -9,39 +9,63 @@ characteristic sequence over `right_mult_operator` and
 stream of the isomorphism search.  `oracle_equal` is the field-wise
 equality of the earlier frozen dataclass.  They live here only, as
 references for the loops over `Algebra.table`.
+
+`DenseAlgebra` is the earlier `Algebra`, which stored the dense grid
+`sc` and scanned it into the integer table; `oracle_direct_sum`,
+`oracle_central_extension`, `oracle_natural_gradation` and
+`oracle_transform_algebra` are the constructors that assembled that
+grid.  They are the references for `_from_records`, which now makes
+every table from (i, j, k, c) records, with `sc` derived from the table.
 """
 
 import itertools
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibnizalg import catalog, files
+from leibnizalg.cohomology import cohomology_class
 from leibnizalg.core import (
     CHARSEQ_RANDOM_TRIALS,
     CHARSEQ_SEED,
     Algebra,
     CharSeq,
     CharSeqWitness,
+    GradedAlgebra,
+    IntegerTable,
     LeibnizViolation,
     NotNilpotentError,
     Subspace,
     _greedy_max_charseq,
     _random_rational_vector,
     _scale_to_integers,
+    abelian_algebra,
     algebra_from_products,
     bracket,
     center,
     characteristic_sequence,
     check_leibniz,
+    complement_inside,
+    direct_sum,
     jordan_type_nilpotent,
     left_annihilator,
     lower_central_series,
+    natural_gradation,
+    nilindex,
     right_annihilator,
     right_mult_operator,
     squares_subspace,
+)
+from leibnizalg.extension import (
+    _require_leibniz,
+    central_extension,
+    make_spec,
+    random_cocycle_forms,
+    validate_cocycle,
 )
 from leibnizalg.isomorphism import (
     SEARCH_BUDGET,
@@ -58,12 +82,15 @@ from leibnizalg.isomorphism import (
 )
 from leibnizalg.linalg import (
     Matrix,
+    Vector,
+    common_denominator,
     inverse,
     is_zero_vector,
     kernel_basis,
     unit_vector,
     vec_add,
     vec_sub,
+    zero_vector,
 )
 
 _ZERO = Fraction(0)
@@ -320,6 +347,145 @@ def oracle_search(a, b, budget=SEARCH_BUDGET, seed=SEARCH_SEED):
     return SearchResult("undetermined", trials=trials)
 
 
+@dataclass(frozen=True, eq=False)
+class DenseAlgebra:
+    """The earlier `Algebra`: the dense grid as given, its table scanned from it."""
+
+    dim: int
+    sc: tuple[tuple[Vector, ...], ...]
+    labels: tuple[str, ...] | None = field(default=None, compare=False)
+    checked: bool = field(default=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.dim < 0:
+            raise ValueError("negative dimension")
+        if len(self.sc) != self.dim or any(
+            len(row) != self.dim or any(len(v) != self.dim for v in row) for row in self.sc
+        ):
+            raise ValueError("structure constants must form a dim x dim grid of dim-vectors")
+
+    @cached_property
+    def table(self) -> IntegerTable:
+        """The canonical integer view of `sc`, built on first use."""
+        nonzero: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+        for i, row in enumerate(self.sc):
+            for j, cell in enumerate(row):
+                terms = [(k, c) for k, c in enumerate(cell) if c]
+                if terms:
+                    nonzero[i, j] = terms
+        den = common_denominator(c for terms in nonzero.values() for _, c in terms)
+        return IntegerTable(den, {
+            key: tuple((k, c.numerator * (den // c.denominator)) for k, c in terms)
+            for key, terms in nonzero.items()
+        })
+
+    @cached_property
+    def _hash(self) -> int:
+        table = self.table
+        return hash((self.dim, table.denominator, tuple(table.products.items())))
+
+    def products(self):
+        """Nonzero structure constants as 1-based (i, j, k, c) records."""
+        den = self.table.denominator
+        for (i, j), terms in self.table.products.items():
+            for k, c in terms:
+                yield (i + 1, j + 1, k + 1, Fraction(c, den))
+
+
+def oracle_direct_sum(a, b):
+    """Direct sum with b's basis appended after a's."""
+    n, m = a.dim, b.dim
+    dim = n + m
+    rows = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            if i < n and j < n:
+                row.append(a.sc[i][j] + zero_vector(m))
+            elif i >= n and j >= n:
+                row.append(zero_vector(n) + b.sc[i - n][j - n])
+            else:
+                row.append(zero_vector(dim))
+        rows.append(tuple(row))
+    return DenseAlgebra(dim=dim, sc=tuple(rows), checked=a.checked and b.checked)
+
+
+def oracle_central_extension(spec):
+    """The algebra on base + V defined by the cocycle."""
+    base = spec.base
+    _require_leibniz(base)
+    if any(cohomology_class(base, form) is None for form in spec.forms):
+        validate_cocycle(spec)  # raises, naming the first violating triple
+    n, k = base.dim, spec.k
+    dim = n + k
+    rows = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            if i < n and j < n:
+                tail = tuple(form.values[i][j] for form in spec.forms)
+                row.append(base.sc[i][j] + tail)
+            else:
+                row.append(zero_vector(dim))
+        rows.append(tuple(row))
+    base_labels = tuple(base.label(i) for i in range(n))
+    ext_labels = base_labels + tuple("x%d" % (t + 1) for t in range(k))
+    return DenseAlgebra(dim=dim, sc=tuple(rows), labels=ext_labels, checked=True)
+
+
+def oracle_natural_gradation(a):
+    """Graded algebra on layers L^i/L^{i+1} with the induced bracket."""
+    if nilindex(a) is None:
+        raise NotNilpotentError("natural gradation needs a nilpotent algebra")
+    series = list(lower_central_series(a))
+    n = a.dim
+    adapted = []
+    layers = []
+    layer_dims = []
+    for i in range(len(series) - 1):
+        section = complement_inside(series[i], series[i + 1])
+        layer_dims.append(len(section))
+        for v in section:
+            adapted.append(v)
+            layers.append(i + 1)
+    basis_matrix = Matrix.from_columns(adapted) if adapted else Matrix.zeros(n, 0)
+    inv = inverse(basis_matrix) if n else None
+    if n and inv is None:
+        raise RuntimeError("adapted basis is singular; series computation is inconsistent")
+    rows = []
+    for u in range(n):
+        row = []
+        for v in range(n):
+            w = bracket(a, adapted[u], adapted[v])
+            coords = list(inv.apply(w)) if inv is not None else []
+            target = layers[u] + layers[v]
+            for t in range(n):
+                if layers[t] != target:
+                    coords[t] = Fraction(0)
+            row.append(tuple(coords))
+        rows.append(tuple(row))
+    graded = DenseAlgebra(dim=n, sc=tuple(rows), checked=False)
+    return GradedAlgebra(tuple(layer_dims), graded, basis_matrix)
+
+
+def oracle_transform_algebra(a, q):
+    """The algebra on the basis whose q-columns express it in a's coordinates."""
+    if q.rows != a.dim or q.cols != a.dim:
+        raise ValueError("change of basis must be %d x %d" % (a.dim, a.dim))
+    qinv = inverse(q)
+    if qinv is None:
+        raise ValueError("change of basis is singular")
+    n = a.dim
+    cols = [q.column(i) for i in range(n)]
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            row.append(qinv.apply(bracket(a, cols[i], cols[j])))
+        rows.append(tuple(row))
+    return DenseAlgebra(dim=n, sc=tuple(rows), checked=a.checked)
+
+
 # ------------------------------------------------------------------ inputs
 
 MEMBERS = (
@@ -367,15 +533,24 @@ def members(draw, min_dim=0):
     return src, q, transform_algebra(src, q)
 
 
+def product_records(a):
+    """The structure constants of a as a mutable 1-based {(i, j): {k: c}}."""
+    records = {}
+    for i, j, k, c in a.products():
+        records.setdefault((i, j), {})[k] = c
+    return records
+
+
 @st.composite
 def planted(draw):
     """A member whose table has one structure constant changed, Leibniz or not."""
     _, _, a = draw(members(min_dim=2))
     n = a.dim
     i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
-    sc = [[list(v) for v in row] for row in a.sc]
-    sc[i][j][k] += draw(small.filter(bool))
-    return Algebra(dim=n, sc=tuple(tuple(tuple(v) for v in row) for row in sc))
+    records = product_records(a)
+    cell = records.setdefault((i + 1, j + 1), {})
+    cell[k + 1] = cell.get(k + 1, 0) + draw(small.filter(bool))
+    return algebra_from_products(n, records, check=False)
 
 
 def vectors(n):
@@ -395,9 +570,9 @@ def test_check_leibniz_matches_dense_oracle(a):
 
 def test_planted_faults_are_found():
     a = catalog.make("F1", 5)
-    sc = [[list(v) for v in row] for row in a.sc]
-    sc[1][1][0] = Fraction(1, 2)  # [e2, e2] = e1/2 breaks the identity
-    mutant = Algebra(dim=5, sc=tuple(tuple(tuple(v) for v in row) for row in sc))
+    records = product_records(a)
+    records.setdefault((2, 2), {})[1] = Fraction(1, 2)  # [e2, e2] = e1/2 breaks the identity
+    mutant = algebra_from_products(5, records, check=False)
     expected = oracle_check_leibniz(mutant)
     assert expected and check_leibniz(mutant) == expected
 
@@ -424,13 +599,12 @@ def test_structure_subspaces_match_dense_oracle(a):
 
 
 @settings(max_examples=40, deadline=None)
-@given(members(), st.integers(0, 40), st.integers(0, 10**6))
-def test_characteristic_sequence_matches_dense_oracle(member, trials, seed):
+@given(members())
+def test_characteristic_sequence_matches_dense_oracle(member):
     _, _, a = member
     expected = oracle_charseq(a, CHARSEQ_RANDOM_TRIALS, CHARSEQ_SEED)
     got = characteristic_sequence(a)
     assert (got.seq, got.witness, got.exact) == (expected.seq, expected.witness, expected.exact)
-    assert characteristic_sequence(a, trials, seed) == oracle_charseq(a, trials, seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -499,7 +673,7 @@ def test_equal_algebras_built_differently_are_equal(a):
     labels = tuple("f%d" % t for t in range(a.dim))
     twins = [
         algebra_from_products(a.dim, records, labels=labels, check=False),
-        Algebra(dim=a.dim, sc=a.sc, labels=labels, checked=not a.checked),
+        Algebra(a.dim, a.table, labels, not a.checked),
         files.algebra_from_dict(files.algebra_to_dict(a, name="twin"))[0],
         transform_algebra(a, Matrix.identity(a.dim)) if a.dim else a,
     ]
@@ -528,3 +702,67 @@ def test_equality_with_other_types_is_not_implemented():
     a = catalog.make("NF", 3)
     assert a != (a.dim, a.sc)
     assert a.__eq__(object()) is NotImplemented
+
+
+# ------------------------------------------------------------------ records
+
+
+def assert_matches_dense(got, expected):
+    """Every stored and derived part of an algebra equals the dense oracle's."""
+    assert got.dim == expected.dim
+    assert got.table == expected.table
+    assert hash(got) == expected._hash
+    assert list(got.products()) == list(expected.products())
+    assert got.sc == expected.sc
+    assert got.labels == expected.labels
+    assert got.checked == expected.checked
+
+
+ABELIAN = st.sampled_from((abelian_algebra(0), abelian_algebra(3)))
+leibniz_inputs = st.one_of(members().map(lambda m: m[2]), ABELIAN)
+any_inputs = st.one_of(leibniz_inputs, planted())
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_inputs)
+def test_dense_view_scans_back_to_the_table(a):
+    dense = DenseAlgebra(a.dim, a.sc, a.labels, a.checked)
+    assert_matches_dense(a, dense)
+
+
+def test_abelian_algebras_match_dense_grid():
+    for dim in (0, 3):
+        zero = zero_vector(dim)
+        grid = tuple(tuple(zero for _ in range(dim)) for _ in range(dim))
+        assert_matches_dense(abelian_algebra(dim), DenseAlgebra(dim=dim, sc=grid, checked=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_transform_algebra_matches_dense_oracle(data):
+    src = data.draw(any_inputs)
+    kind = data.draw(st.sampled_from(("catalog", "dense-integer", "dense-rational")))
+    n = src.dim
+    q = Matrix.identity(n) if kind == "catalog" or n == 0 else dense_change(data.draw, n, kind)
+    assert_matches_dense(transform_algebra(src, q), oracle_transform_algebra(src, q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_inputs, any_inputs)
+def test_direct_sum_matches_dense_oracle(a, b):
+    assert_matches_dense(direct_sum(a, b), oracle_direct_sum(a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(leibniz_inputs)
+def test_natural_gradation_matches_dense_oracle(a):
+    got, expected = natural_gradation(a), oracle_natural_gradation(a)
+    assert (got.layer_dims, got.adapted_basis) == (expected.layer_dims, expected.adapted_basis)
+    assert_matches_dense(got.algebra, expected.algebra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(leibniz_inputs, st.integers(0, 4), st.integers(0, 10**6))
+def test_central_extension_matches_dense_oracle(base, k, seed):
+    spec = make_spec(base, *random_cocycle_forms(base, k, random.Random(seed)))
+    assert_matches_dense(central_extension(spec), oracle_central_extension(spec))
