@@ -11,11 +11,14 @@ so the defining conditions never couple components): all spaces here are
 computed with scalar coefficients, and k-dimensional statements are the
 k-fold copies.
 
-The identity is encoded once, as the sparse rows of `_condition_rows`:
-the defect of a form at a basis triple is row . theta, and violation
-reports, the cocycle test and the ZL^2 kernel all read those rows.
-`condition_matrix` is a dense view of them for display and measurement,
-not the path to ZL^2.
+The identity is encoded once, as the sparse integer rows of
+`_condition_rows`: D times the identity, D the denominator of the
+algebra's integer table, scattered from the table's nonzero products
+and sorted into canonical (i, j, k) order.  The defect of a form at a
+basis triple is (row . theta) / D; violation reports, the cocycle test
+and the ZL^2 kernel all read those rows, and the kernel eliminates them
+as ints.  `condition_matrix` is a dense view of them divided by D, for
+display and measurement, not the path to ZL^2.
 
 Membership in span(BL^2 + representatives) and the class coordinates of
 a form both read one echelon per base, `CohomologyBasis.classes`, cached
@@ -26,6 +29,7 @@ coordinates.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -133,37 +137,47 @@ def combine(forms: Sequence[BilinearForm], coeffs: Sequence[Fraction]) -> Biline
     return BilinearForm.from_flat(n, acc)
 
 
-ConditionRow = tuple[tuple[int, int, int], dict[int, Fraction]]
+ConditionRow = tuple[tuple[int, int, int], dict[int, int]]
 
 
 def _condition_rows(a: Algebra) -> list[ConditionRow]:
-    """The cocycle identity as one sparse linear condition per basis triple.
+    """The cocycle identity as one sparse integer condition per basis triple.
 
     The only place the identity is written.  The unknowns are theta_{pq}
-    at flat index p*n + q, so the defect of a form at a triple is
-    row . flatten(theta); each row is tagged with its 1-based (i, j, k).
-    Vacuous triples are dropped and the order is the (i, j, k) sweep, so
-    the system is canonical.
+    at flat index p*n + q, and each row holds D times the coefficients of
+    the identity as ints, D the denominator of `Algebra.table`, so the
+    defect of a form at a triple is (row . flatten(theta)) / D; each row
+    is tagged with its 1-based (i, j, k).  A nonzero product [e_u, e_v]
+    enters the n triples with (j, k) = (u, v), the n with (i, j) = (u, v)
+    and the n with (i, k) = (u, v), so the rows are scattered from the
+    table rather than swept over all n^3 triples.  Entries that cancel and
+    vacuous triples are dropped and the rows are sorted into the (i, j, k)
+    sweep order, so the system is canonical.
     """
     n = a.dim
-    den = a.table.denominator
-    support = {
-        key: [(m, Fraction(c, den)) for m, c in terms] for key, terms in a.table.products.items()
-    }
-    get = support.get
+    acc: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for (u, v), terms in a.table.products.items():
+        for m, c in terms:
+            for t in range(n):
+                # theta(e_t, [e_u, e_v]) in the row of (t, u, v)
+                row, p = acc[(t * n + u) * n + v], t * n + m
+                row[p] = row.get(p, 0) + c
+                # -theta([e_u, e_v], e_t) in the row of (u, v, t) and
+                # +theta([e_u, e_v], e_t) in the row of (u, t, v)
+                p = m * n + t
+                row = acc[(u * n + v) * n + t]
+                row[p] = row.get(p, 0) - c
+                row = acc[(u * n + t) * n + v]
+                row[p] = row.get(p, 0) + c
     rows: list[ConditionRow] = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                terms = [(i * n + m, c) for m, c in get((j, k), ())]
-                terms += [(m * n + k, -c) for m, c in get((i, j), ())]
-                terms += [(m * n + j, c) for m, c in get((i, k), ())]
-                row: dict[int, Fraction] = {}
-                for p, c in terms:
-                    row[p] = row[p] + c if p in row else c
-                row = {p: c for p, c in row.items() if c}
-                if row:
-                    rows.append(((i + 1, j + 1, k + 1), row))
+    for triple in sorted(acc):
+        row = acc[triple]
+        if 0 in row.values():
+            row = {p: c for p, c in row.items() if c}
+        if row:
+            i, jk = divmod(triple, n * n)
+            j, k = divmod(jk, n)
+            rows.append(((i + 1, j + 1, k + 1), row))
     return rows
 
 
@@ -178,10 +192,11 @@ def _defects(
     """(triple, defect) for each condition row with row . theta != 0, in row order."""
     _check_form_dim(a, form)
     theta = form.flatten()
+    den = a.table.denominator
     for triple, row in rows:
         defect = sum((c * theta[p] for p, c in row.items() if theta[p]), Fraction(0))
         if defect:
-            yield triple, defect
+            yield triple, defect / den
 
 
 def cocycle_violations(a: Algebra, form: BilinearForm) -> list[tuple[int, int, int, Fraction]]:
@@ -195,8 +210,14 @@ def is_cocycle(a: Algebra, form: BilinearForm) -> bool:
 
 def condition_matrix(a: Algebra) -> Matrix:
     """The cocycle-condition system as a dense matrix over the n^2 unknowns."""
-    width, zero = a.dim * a.dim, Fraction(0)
-    return Matrix([[row.get(p, zero) for p in range(width)] for _, row in _condition_rows(a)], cols=width)
+    width, den = a.dim * a.dim, a.table.denominator
+    dense = []
+    for _, row in _condition_rows(a):
+        v = [Fraction(0)] * width
+        for p, c in row.items():
+            v[p] = Fraction(c, den)
+        dense.append(v)
+    return Matrix(dense, cols=width)
 
 
 @dataclass(frozen=True)
@@ -267,7 +288,7 @@ class CohomologyBasis:
         rows = [sparse(b) for b in self.coboundaries.space.basis]
         for t, rep in enumerate(self.representatives):
             row = sparse(rep.flatten())
-            row[width + t] = Fraction(1)
+            row[width + t] = 1
             rows.append(row)
         return Echelon(width + self.dim, rows)
 
@@ -304,7 +325,7 @@ def cohomology_class(a: Algebra, form: BilinearForm) -> tuple[Fraction, ...] | N
     _check_form_dim(a, form)
     basis = cohomology_basis(a)
     width = a.dim * a.dim
-    residue = basis.classes.reduce(sparse(form.flatten()))
+    residue = basis.classes.reduce({p: x for p, x in enumerate(form.flatten()) if x})
     if any(p < width for p in residue):
         return None
     return tuple(-residue.get(width + t, Fraction(0)) for t in range(basis.dim))

@@ -350,7 +350,7 @@ def complement_inside(outer: Subspace, inner: Subspace) -> tuple[Vector, ...]:
 
 def _span_int_rows(n: int, rows: Iterable[Mapping[int, int]]) -> Subspace:
     """Span of sparse integer rows {column: int}; zero entries are dropped."""
-    e = Echelon(n, ({k: Fraction(v) for k, v in row.items() if v} for row in rows))
+    e = Echelon(n, rows)
     return Subspace(n, e.dense_rows(), e.pivots)
 
 
@@ -426,13 +426,13 @@ def _stacked_kernel(a: Algebra, use_left: bool, use_right: bool) -> Subspace:
     One sparse row per (side, j, k) with a nonzero coefficient; the rows
     are the integer products, D times the conditions, same kernel.
     """
-    rows: dict[tuple[bool, int, int], dict[int, Fraction]] = {}
+    rows: dict[tuple[bool, int, int], dict[int, int]] = {}
     for (i, j), terms in a.table.products.items():
         for k, c in terms:
             if use_left:
-                rows.setdefault((True, j, k), {})[i] = Fraction(c)
+                rows.setdefault((True, j, k), {})[i] = c
             if use_right:
-                rows.setdefault((False, i, k), {})[j] = Fraction(c)
+                rows.setdefault((False, i, k), {})[j] = c
     return Subspace.span(a.dim, Echelon(a.dim, rows.values()).kernel())
 
 

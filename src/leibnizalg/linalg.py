@@ -5,19 +5,23 @@ always in lowest terms with positive denominator, so every computation in
 this module is exact.  Matrices are immutable, row-major grids of
 Fractions.
 
-Elimination has one kernel, `Echelon`: rows are sparse dicts
-{column: Fraction}, each incoming row is reduced against the pivot rows
-already found, its leftmost nonzero column becomes a new pivot, and that
-column is eliminated from the earlier pivot rows.  The cocycle systems
-this package solves have n^3 rows over n^2 unknowns with only a few
-nonzeros per row, which is where the sparse rows pay.  `rref`, `rank`,
-`kernel_basis`, `solve`, `inverse` and `core.Subspace.span` all go
-through it.  Rank sequences of powers of a matrix (Jordan types) use
-fraction-free Bareiss elimination over the integers instead, which is
-faster on those small dense grids.  `core` builds those grids as ints
-straight from an algebra's integer structure constants and feeds them
-to the Bareiss rank sequence; `integer_grid` clears the denominators of
-a `Matrix` for the same rank sequence.
+Elimination has one kernel, `Echelon`, and it is fraction-free: rows
+are sparse dicts {column: int}, held primitive (content 1) with a
+positive pivot entry, so each is a positive multiple of its reduced row.
+An incoming row of ints or Fractions has its denominators cleared once,
+is reduced against the pivot rows already found, its leftmost nonzero
+column becomes a new pivot, and that column is eliminated from the
+earlier pivot rows; `Fraction`s appear only at the boundary, where a
+reduced row, a kernel vector or a residue is handed back.  The cocycle
+systems this package solves have n^3 integer rows over n^2 unknowns with
+only a few nonzeros per row, which is where the sparse rows pay.
+`rref`, `rank`, `kernel_basis`, `solve`, `inverse` and
+`core.Subspace.span` all go through it.  Rank sequences of powers of a
+matrix (Jordan types) and singularity tests use Bareiss elimination
+(`integer_rank`) on dense int grids instead, which is faster on those
+small dense grids.  `core` builds those grids as ints straight from an
+algebra's integer structure constants; `integer_grid` clears the
+denominators of a `Matrix` for the same rank sequence.
 
 Determinism conventions, relied on throughout the package:
 
@@ -28,8 +32,9 @@ Determinism conventions, relied on throughout the package:
   free coordinate of each basis vector to 1.
 * `solve` returns the particular solution with all free variables zero.
 
-Floats are refused at construction time; the one floating-point helper
-lives elsewhere and never feeds back into exact results.
+Floats are refused at construction time and by `Echelon`; the one
+floating-point helper lives elsewhere and never feeds back into exact
+results.
 """
 
 from __future__ import annotations
@@ -165,77 +170,139 @@ class Matrix:
         return "Matrix(%d x %d)" % (self.rows, self.cols)
 
 
-def _axpy(y: dict[int, Fraction], a: Fraction, x: Mapping[int, Fraction]) -> None:
-    """y += a * x on sparse rows, dropping entries that cancel."""
-    for j, v in x.items():
-        if j in y:
-            w = y[j] + a * v
-            if w:
-                y[j] = w
-            else:
-                del y[j]
+def _exact_row(row: Mapping[int, int | Fraction]) -> tuple[dict[int, int], int]:
+    """The nonzero entries of a row times their common denominator d, and d.
+
+    Only ints and Fractions are exact; anything else is refused, as in
+    `frac`, before it can enter an elimination.
+    """
+    den = 1
+    for x in row.values():
+        if type(x) is not int:
+            if isinstance(x, Fraction):
+                d = x.denominator
+                if den % d:
+                    den = den // math.gcd(den, d) * d
+            elif not isinstance(x, int):
+                raise TypeError("refusing to eliminate %s %r as an exact rational" % (type(x).__name__, x))
+    if den == 1:
+        return {j: x.numerator for j, x in row.items() if x}, 1
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items() if x}, den
+
+
+def _cancel(row: dict[int, int], p: int, by: Mapping[int, int]) -> int:
+    """Zero column p of an int row in place by row <- m*row - f*by; return m.
+
+    m = by[p] / gcd(by[p], row[p]) is positive whenever by[p] is, and the
+    entries that cancel are dropped.
+    """
+    q = by[p]
+    f = row[p]
+    g = math.gcd(q, f)
+    m = q // g
+    if m != 1:
+        for j in row:
+            row[j] *= m
+    f //= g
+    for j, v in by.items():
+        w = row.get(j, 0) - f * v
+        if w:
+            row[j] = w
         else:
-            y[j] = a * v
+            del row[j]
+    return m
 
 
 class Echelon:
-    """The reduced row echelon form of a growing row space, as sparse rows.
+    """The reduced row echelon form of a growing row space, fraction-free.
 
-    `rows` maps each pivot column to its row, a dict {column: nonzero
-    Fraction} with a 1 at the pivot, no entries left of it and zeros in
-    every other pivot column.  `add` reduces an incoming row against the
-    rows already held; a nonzero residue is scaled so that its leftmost
-    column becomes a new pivot, and that column is then eliminated from
-    the earlier rows.
+    `held` maps each pivot column to its row, a dict {column: nonzero
+    int} that is primitive (its entries have gcd 1), positive at the
+    pivot, empty left of it and zero in every other pivot column: a
+    positive multiple of the row of the reduced row echelon form.  An
+    incoming row of ints or Fractions has its denominators cleared once;
+    `add` reduces it against the held rows, makes a nonzero residue
+    primitive with a positive leading entry, and eliminates that new pivot
+    column from the earlier rows.  Elimination runs on ints only; `rows`,
+    `dense_rows` and `kernel` divide by the pivot, and `reduce` by the
+    scale it tracked, where a Fraction is handed back.
 
     The rows given to the constructor are added lightest first, as in
     structured Gaussian elimination: sparse pivot rows cause less fill-in.
     The order changes the cost only, never the result.
     """
 
-    __slots__ = ("cols", "rows")
+    __slots__ = ("cols", "held")
 
-    def __init__(self, cols: int, rows: Iterable[Mapping[int, Fraction]] = ()):
+    def __init__(self, cols: int, rows: Iterable[Mapping[int, int | Fraction]] = ()):
         self.cols = cols
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.held: dict[int, dict[int, int]] = {}
         for row in sorted(rows, key=len):
             self.add(row)
 
-    def reduce(self, row: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """Residue of a sparse row after elimination against the held rows.
+    def _eliminate(self, row: dict[int, int]) -> int:
+        """Reduce an int row in place against the held rows; return the factor it was scaled by.
 
         A held row is zero in every other pivot column, so one pass over
         the pivot columns of the input suffices.
         """
-        out = dict(row)
-        for p in [c for c in out if c in self.rows]:
-            _axpy(out, -out[p], self.rows[p])
-        return out
+        held = self.held
+        scale = 1
+        for p in [c for c in row if c in held]:
+            scale *= _cancel(row, p, held[p])
+        return scale
 
-    def add(self, row: Mapping[int, Fraction]) -> bool:
+    def reduce(self, row: Mapping[int, int | Fraction]) -> dict[int, Fraction]:
+        """Residue of a sparse row after elimination against the reduced rows."""
+        out, den = _exact_row(row)
+        den *= self._eliminate(out)
+        return {j: Fraction(x, den) for j, x in out.items()}
+
+    def add(self, row: Mapping[int, int | Fraction]) -> bool:
         """Extend the row space by `row`; False when it was already inside."""
-        residue = self.reduce(row)
+        residue, _ = _exact_row(row)
+        self._eliminate(residue)
         if not residue:
             return False
         lead = min(residue)
-        scale = residue[lead]
-        if scale != 1:
-            residue = {j: x / scale for j, x in residue.items()}
-        for held in self.rows.values():
-            f = held.get(lead)
-            if f:
-                _axpy(held, -f, residue)
-        self.rows[lead] = residue
+        g = math.gcd(*residue.values())
+        if residue[lead] < 0:
+            g = -g
+        if g != 1:
+            residue = {j: x // g for j, x in residue.items()}
+        for held in self.held.values():
+            if lead in held:
+                _cancel(held, lead, residue)
+                g = math.gcd(*held.values())
+                if g != 1:
+                    for j in held:
+                        held[j] //= g
+        self.held[lead] = residue
         return True
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(sorted(self.rows))
+        return tuple(sorted(self.held))
+
+    @property
+    def rows(self) -> dict[int, dict[int, Fraction]]:
+        """The reduced rows {pivot: {column: Fraction}}, each with a 1 at its pivot."""
+        return {p: {j: Fraction(x, row[p]) for j, x in row.items()} for p, row in self.held.items()}
 
     def dense_rows(self) -> tuple[Vector, ...]:
         """The reduced rows in pivot order, as dense vectors."""
-        width = range(self.cols)
-        return tuple(tuple(self.rows[p].get(j, _ZERO) for j in width) for p in self.pivots)
+        out = []
+        for p in self.pivots:
+            row = self.held[p]
+            q = row[p]
+            v = [_ZERO] * self.cols
+            for j, x in row.items():
+                v[j] = Fraction(x, q)
+            # Cached bases hold these rows; a shared 1 at each pivot keeps
+            # them from holding one more Fraction per row.
+            v[p] = _ONE
+            out.append(tuple(v))
+        return tuple(out)
 
     def kernel(self) -> tuple[Vector, ...]:
         """Basis of {v : row . v = 0 for every row}, in free-column order.
@@ -245,14 +312,14 @@ class Echelon:
         """
         basis: list[Vector] = []
         for free in range(self.cols):
-            if free in self.rows:
+            if free in self.held:
                 continue
             v = [_ZERO] * self.cols
             v[free] = _ONE
-            for p, row in self.rows.items():
+            for p, row in self.held.items():
                 x = row.get(free)
                 if x:
-                    v[p] = -x
+                    v[p] = Fraction(-x, row[p])
             basis.append(tuple(v))
         return tuple(basis)
 
@@ -273,12 +340,12 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     result is the unique reduced form of the row space.
     """
     e = _echelon(m)
-    zeros = (zero_vector(m.cols),) * (m.rows - len(e.rows))
+    zeros = (zero_vector(m.cols),) * (m.rows - len(e.held))
     return Matrix(e.dense_rows() + zeros, cols=m.cols), e.pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(m).rows)
+    return len(_echelon(m).held)
 
 
 def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
@@ -296,11 +363,13 @@ def solve(m: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
         raise ValueError("rhs of length %d against %d rows" % (len(rhs), m.rows))
     n = m.cols
     e = Echelon(n + 1, (sparse(row + (b,)) for row, b in zip(m.data, map(frac, rhs))))
-    if n in e.rows:
+    if n in e.held:
         return None
     x = [_ZERO] * n
-    for p, row in e.rows.items():
-        x[p] = row.get(n, _ZERO)
+    for p, row in e.held.items():
+        b = row.get(n)
+        if b:
+            x[p] = Fraction(b, row[p])
     return tuple(x)
 
 
@@ -309,10 +378,10 @@ def inverse(m: Matrix) -> Matrix | None:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
-    e = Echelon(2 * n, ({**sparse(row), n + i: _ONE} for i, row in enumerate(m.data)))
-    if any(p not in e.rows for p in range(n)):
+    e = Echelon(2 * n, ({**sparse(row), n + i: 1} for i, row in enumerate(m.data)))
+    if any(p not in e.held for p in range(n)):
         return None
-    return Matrix([[e.rows[p].get(n + j, _ZERO) for j in range(n)] for p in range(n)], cols=n)
+    return Matrix([row[n:] for row in e.dense_rows()], cols=n)
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:

@@ -161,3 +161,12 @@ def test_combine_refuses_what_the_oracle_refused():
     with pytest.raises(ValueError, match="dimension mismatch"):
         combine([one, two], [_ONE, _ONE])
     assert combine([one, two], [_ONE, _ZERO]) == oracle_combine([one, two], [_ONE, _ZERO])
+
+
+def test_class_of_form_holding_a_float_is_refused():
+    a = catalog.make("F1", 5)
+    values = [[_ZERO] * 5 for _ in range(5)]
+    values[0][4] = 0.5
+    form = BilinearForm(5, tuple(tuple(row) for row in values))
+    with pytest.raises(TypeError, match="refusing to eliminate float"):
+        cohomology_class(a, form)

@@ -1,9 +1,12 @@
 """The sparse condition rows against the per-triple sweep they replaced.
 
-The two oracles below are the earlier implementations of the cocycle
-identity: a per-triple defect sweep and a dense condition system.  They
-live here only, as references for the single sparse encoding in
-`cohomology._condition_rows`.
+The first two oracles below are the earlier implementations of the
+cocycle identity: a per-triple defect sweep and a dense condition
+system.  `oracle_fraction_condition_rows` is the earlier body of
+`cohomology._condition_rows`, kept verbatim, which swept all n^3 triples
+and built `Fraction` rows; the integer rows scattered from the table must
+be D times its rows, in its order.  They live here only, as references
+for the single sparse encoding in `cohomology._condition_rows`.
 """
 
 from fractions import Fraction
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from leibnizalg import catalog
 from leibnizalg.cohomology import (
     BilinearForm,
+    _condition_rows,
     cocycle_space,
     cocycle_violations,
     combine,
@@ -79,6 +83,29 @@ def oracle_condition_rows(a):
                         row[m * n + j] += c
                 if any(row):
                     rows.append(tuple(row))
+    return rows
+
+
+def oracle_fraction_condition_rows(a):
+    n = a.dim
+    den = a.table.denominator
+    support = {
+        key: [(m, Fraction(c, den)) for m, c in terms] for key, terms in a.table.products.items()
+    }
+    get = support.get
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                terms = [(i * n + m, c) for m, c in get((j, k), ())]
+                terms += [(m * n + k, -c) for m, c in get((i, j), ())]
+                terms += [(m * n + j, c) for m, c in get((i, k), ())]
+                row = {}
+                for p, c in terms:
+                    row[p] = row[p] + c if p in row else c
+                row = {p: c for p, c in row.items() if c}
+                if row:
+                    rows.append(((i + 1, j + 1, k + 1), row))
     return rows
 
 
@@ -170,6 +197,18 @@ def test_condition_system_matches_dense_oracle(data):
     n = a.dim
     assert condition_matrix(a) == Matrix(oracle_condition_rows(a), cols=n * n)
     assert cocycle_space(a).space == oracle_cocycle_space(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(members())
+def test_integer_condition_rows_are_d_times_fraction_rows(a):
+    rows = _condition_rows(a)
+    expected = oracle_fraction_condition_rows(a)
+    den = a.table.denominator
+    assert [triple for triple, _ in rows] == [triple for triple, _ in expected]
+    for (_, row), (_, old) in zip(rows, expected):
+        assert row == {p: c * den for p, c in old.items()}
+        assert all(type(c) is int and c for c in row.values())
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,11 +18,18 @@ experiment at the default seed, in `experiment_ids()` order.  It was
 recorded while `Algebra` still stored the dense `Fraction` grid that
 the integer table replaced.
 
+`golden_subspaces.json` holds the canonical rref basis and pivots of
+every lower central series term, the center, both annihilators, the
+squares subspace and BL^2 of the same six members in the same three
+bases.  It was recorded while `Echelon` still eliminated on `Fraction`
+rows, before the fraction-free integer kernel replaced it.
+
 Regenerate only for a change meant to alter these outputs:
 
     PYTHONPATH=src python tests/test_golden_outputs.py > tests/golden_outputs.json
     PYTHONPATH=src python tests/test_golden_outputs.py reduce > tests/golden_reduce.json
     PYTHONPATH=src python tests/test_golden_outputs.py reproduce > tests/golden_reproduce.json
+    PYTHONPATH=src python tests/test_golden_outputs.py subspaces > tests/golden_subspaces.json
 """
 
 import json
@@ -33,6 +40,13 @@ from pathlib import Path
 
 from leibnizalg import catalog, reproduce
 from leibnizalg.cohomology import BilinearForm, coboundary_space, cocycle_space, cohomology_basis
+from leibnizalg.core import (
+    center,
+    left_annihilator,
+    lower_central_series,
+    right_annihilator,
+    squares_subspace,
+)
 from leibnizalg.extension import make_spec, random_cocycle_forms, reduce_extension
 from leibnizalg.isomorphism import fingerprint, transform_algebra
 from leibnizalg.linalg import Matrix
@@ -40,6 +54,7 @@ from leibnizalg.linalg import Matrix
 FIXTURE = Path(__file__).with_name("golden_outputs.json")
 REDUCE_FIXTURE = Path(__file__).with_name("golden_reduce.json")
 REPRODUCE_FIXTURE = Path(__file__).with_name("golden_reproduce.json")
+SUBSPACES_FIXTURE = Path(__file__).with_name("golden_subspaces.json")
 
 MEMBERS = (
     ("NF", 5, {}),
@@ -68,25 +83,52 @@ def vectors(vs):
     return [[str(x) for x in v] for v in vs]
 
 
-def payload():
-    out = []
+def member_bases():
+    """(family, n, kind, algebra) for each golden member in each basis."""
     for family, n, params in MEMBERS:
         src = catalog.make(family, n, **params)
         for kind in ("catalog", "dense-integer", "dense-rational"):
             a = src if kind == "catalog" else transform_algebra(
                 src, dense_basis(n, kind == "dense-rational"))
-            h = cohomology_basis(a)
-            entry = {
-                "member": family,
-                "dim": n,
-                "basis": kind,
-                "cocycles": vectors(cocycle_space(a).space.basis),
-                "coboundaries": vectors(coboundary_space(a).space.basis),
-                "representatives": vectors(rep.flatten() for rep in h.representatives),
-            }
-            if kind != "catalog":
-                entry["fingerprint"] = fingerprint(a).as_dict()
-            out.append(entry)
+            yield family, n, kind, a
+
+
+def payload():
+    out = []
+    for family, n, kind, a in member_bases():
+        h = cohomology_basis(a)
+        entry = {
+            "member": family,
+            "dim": n,
+            "basis": kind,
+            "cocycles": vectors(cocycle_space(a).space.basis),
+            "coboundaries": vectors(coboundary_space(a).space.basis),
+            "representatives": vectors(rep.flatten() for rep in h.representatives),
+        }
+        if kind != "catalog":
+            entry["fingerprint"] = fingerprint(a).as_dict()
+        out.append(entry)
+    return out
+
+
+def subspace(s):
+    return {"basis": vectors(s.basis), "pivots": list(s.pivots)}
+
+
+def subspaces_payload():
+    out = []
+    for family, n, kind, a in member_bases():
+        out.append({
+            "member": family,
+            "dim": n,
+            "basis": kind,
+            "lower_central_series": [subspace(s) for s in lower_central_series(a)],
+            "center": subspace(center(a)),
+            "left_annihilator": subspace(left_annihilator(a)),
+            "right_annihilator": subspace(right_annihilator(a)),
+            "squares": subspace(squares_subspace(a)),
+            "coboundaries": subspace(coboundary_space(a).space),
+        })
     return out
 
 
@@ -138,6 +180,10 @@ def test_reproduce_reports_match_golden_fixture():
     assert dumps(reproduce_payload()) == REPRODUCE_FIXTURE.read_text()
 
 
+def test_subspaces_match_golden_fixture():
+    assert dumps(subspaces_payload()) == SUBSPACES_FIXTURE.read_text()
+
+
 if __name__ == "__main__":
-    PAYLOADS = {"reduce": reduce_payload, "reproduce": reproduce_payload}
+    PAYLOADS = {"reduce": reduce_payload, "reproduce": reproduce_payload, "subspaces": subspaces_payload}
     print(dumps(PAYLOADS.get(" ".join(sys.argv[1:]), payload)()), end="")

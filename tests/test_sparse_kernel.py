@@ -1,17 +1,23 @@
-"""The sparse row kernel against the dense Gauss-Jordan it replaced.
+"""The sparse row kernel against the eliminations it replaced.
 
 `oracle_rref` is the earlier dense `linalg.rref`, kept verbatim, and the
 oracle `kernel_basis`, `solve` and `inverse` are the earlier wrappers
-around it.  `oracle_cohomology_representatives` is the earlier
-`cohomology_basis` loop, which re-spanned BL^2 plus the kept candidates
-for every candidate, and `oracle_jordan_ranks` the earlier Fraction
-branch of `jordan_type_nilpotent`.  They live here only, as references
-for the single elimination loop in `linalg.Echelon` and for the
-fraction-free rank sequence.
+around it.  `OracleEchelon` is the earlier sparse `linalg.Echelon`, kept
+verbatim with its `_axpy`, which eliminated on `Fraction` rows normalised
+to a 1 at each pivot; the fraction-free integer `Echelon` must return
+exactly what it returned.  `oracle_cohomology_representatives` is the
+earlier `cohomology_basis` loop, which re-spanned BL^2 plus the kept
+candidates for every candidate, and `oracle_jordan_ranks` the earlier
+Fraction branch of `jordan_type_nilpotent`.  They live here only, as
+references for the single elimination loop in `linalg.Echelon` and for
+the fraction-free rank sequence.
 """
 
+import math
 from fractions import Fraction
+from typing import Iterable, Mapping
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +30,7 @@ from leibnizalg.cohomology import (
 )
 from leibnizalg.core import Subspace, jordan_type_nilpotent
 from leibnizalg.isomorphism import transform_algebra
-from leibnizalg.linalg import Matrix, inverse, kernel_basis, rank, rref, solve
+from leibnizalg.linalg import Echelon, Matrix, Vector, inverse, kernel_basis, rank, rref, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -125,6 +131,204 @@ def oracle_cohomology_representatives(a):
             reps.append(v)
             current = extended
     return z, b, tuple(reps)
+
+
+def _axpy(y: dict[int, Fraction], a: Fraction, x: Mapping[int, Fraction]) -> None:
+    """y += a * x on sparse rows, dropping entries that cancel."""
+    for j, v in x.items():
+        if j in y:
+            w = y[j] + a * v
+            if w:
+                y[j] = w
+            else:
+                del y[j]
+        else:
+            y[j] = a * v
+
+
+class OracleEchelon:
+    """The reduced row echelon form of a growing row space, as sparse rows.
+
+    `rows` maps each pivot column to its row, a dict {column: nonzero
+    Fraction} with a 1 at the pivot, no entries left of it and zeros in
+    every other pivot column.  `add` reduces an incoming row against the
+    rows already held; a nonzero residue is scaled so that its leftmost
+    column becomes a new pivot, and that column is then eliminated from
+    the earlier rows.
+
+    The rows given to the constructor are added lightest first, as in
+    structured Gaussian elimination: sparse pivot rows cause less fill-in.
+    The order changes the cost only, never the result.
+    """
+
+    __slots__ = ("cols", "rows")
+
+    def __init__(self, cols: int, rows: Iterable[Mapping[int, Fraction]] = ()):
+        self.cols = cols
+        self.rows: dict[int, dict[int, Fraction]] = {}
+        for row in sorted(rows, key=len):
+            self.add(row)
+
+    def reduce(self, row: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """Residue of a sparse row after elimination against the held rows.
+
+        A held row is zero in every other pivot column, so one pass over
+        the pivot columns of the input suffices.
+        """
+        out = dict(row)
+        for p in [c for c in out if c in self.rows]:
+            _axpy(out, -out[p], self.rows[p])
+        return out
+
+    def add(self, row: Mapping[int, Fraction]) -> bool:
+        """Extend the row space by `row`; False when it was already inside."""
+        residue = self.reduce(row)
+        if not residue:
+            return False
+        lead = min(residue)
+        scale = residue[lead]
+        if scale != 1:
+            residue = {j: x / scale for j, x in residue.items()}
+        for held in self.rows.values():
+            f = held.get(lead)
+            if f:
+                _axpy(held, -f, residue)
+        self.rows[lead] = residue
+        return True
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(sorted(self.rows))
+
+    def dense_rows(self) -> tuple[Vector, ...]:
+        """The reduced rows in pivot order, as dense vectors."""
+        width = range(self.cols)
+        return tuple(tuple(self.rows[p].get(j, _ZERO) for j in width) for p in self.pivots)
+
+    def kernel(self) -> tuple[Vector, ...]:
+        """Basis of {v : row . v = 0 for every row}, in free-column order.
+
+        Each vector has a 1 in its free coordinate and zeros in the other
+        free coordinates.
+        """
+        basis: list[Vector] = []
+        for free in range(self.cols):
+            if free in self.rows:
+                continue
+            v = [_ZERO] * self.cols
+            v[free] = _ONE
+            for p, row in self.rows.items():
+                x = row.get(free)
+                if x:
+                    v[p] = -x
+            basis.append(tuple(v))
+        return tuple(basis)
+
+
+# Nonzero ints and Fractions with denominators up to 7, either sign.
+kernel_scalars = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7)),
+)
+
+
+def sparse_rows(columns):
+    """Sparse rows over the given columns: nonzero entries only, maybe none."""
+    if not columns:
+        return st.just({})
+    return st.dictionaries(st.sampled_from(columns), kernel_scalars, max_size=len(columns))
+
+
+@st.composite
+def row_sequences(draw, columns):
+    """Random rows plus zero rows, repeats, multiples and sums of earlier rows."""
+    rows = draw(st.lists(sparse_rows(columns), max_size=10))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("zero", "repeat", "multiple", "sum")))
+        if kind == "zero" or not rows:
+            new = {}
+        elif kind == "repeat":
+            new = dict(draw(st.sampled_from(rows)))
+        else:
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(kernel_scalars)
+            new = {j: c * u.get(j, 0) + (v.get(j, 0) if kind == "sum" else 0) for j in set(u) | set(v)}
+            new = {j: x for j, x in new.items() if x}
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows
+
+
+def as_fractions(row):
+    return {j: Fraction(x) for j, x in row.items()}
+
+
+def assert_held_rows_canonical(e):
+    """Primitive int rows, positive pivot, zero in every other pivot column."""
+    for p, row in e.held.items():
+        assert row and all(type(x) is int and x for x in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert min(row) == p and row[p] > 0
+        assert not (set(row) & set(e.held)) - {p}
+
+
+def assert_same_echelon(e, oracle):
+    assert_held_rows_canonical(e)
+    assert e.pivots == oracle.pivots
+    assert e.rows == oracle.rows
+    assert e.dense_rows() == oracle.dense_rows()
+    assert e.kernel() == oracle.kernel()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_echelon_matches_fraction_oracle(data):
+    width = data.draw(st.integers(0, 12))
+    columns = list(range(width))
+    rows = data.draw(row_sequences(columns))
+    e, oracle = Echelon(width), OracleEchelon(width)
+    for row in rows:
+        assert e.add(row) == oracle.add(as_fractions(row))
+        assert_held_rows_canonical(e)
+    assert_same_echelon(e, oracle)
+    assert_same_echelon(Echelon(width, rows), OracleEchelon(width, map(as_fractions, rows)))
+    for probe in data.draw(st.lists(sparse_rows(columns), max_size=5)) + rows:
+        assert e.reduce(probe) == oracle.reduce(as_fractions(probe))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tagged_class_echelon_matches_fraction_oracle(data):
+    """The [form | tag] layout of `CohomologyBasis.classes`: residues carry class coordinates."""
+    forms = data.draw(st.integers(0, 9))
+    tags = data.draw(st.integers(0, 3))
+    columns = list(range(forms))
+    rows = data.draw(st.lists(sparse_rows(columns), max_size=6))
+    for t in range(tags):
+        row = dict(data.draw(sparse_rows(columns)))
+        row[forms + t] = 1
+        rows.append(row)
+    e = Echelon(forms + tags, rows)
+    oracle = OracleEchelon(forms + tags, map(as_fractions, rows))
+    assert_same_echelon(e, oracle)
+    probes = data.draw(st.lists(sparse_rows(columns), max_size=5))
+    probes += [{j: x for j, x in row.items() if j < forms} for row in rows]
+    for probe in probes:
+        residue = e.reduce(probe)
+        assert residue == oracle.reduce(as_fractions(probe))
+        assert all(type(x) is Fraction for x in residue.values())
+
+
+@pytest.mark.parametrize("bad", (0.5, 1.0, "1/2", complex(1, 0)))
+def test_echelon_refuses_inexact_entries(bad):
+    name = type(bad).__name__
+    with pytest.raises(TypeError, match="refusing to eliminate %s" % name):
+        Echelon(2, [{0: bad, 1: 1}])
+    e = Echelon(2, [{0: 1}])
+    with pytest.raises(TypeError, match="refusing to eliminate %s" % name):
+        e.add({1: bad})
+    with pytest.raises(TypeError, match="refusing to eliminate %s" % name):
+        e.reduce({0: Fraction(1, 2), 1: bad})
+    assert e.held == {0: {0: 1}}
 
 
 entries = st.one_of(
