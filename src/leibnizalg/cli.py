@@ -30,6 +30,7 @@ from .files import (
     write_algebra_file,
 )
 from .isomorphism import fingerprint, search_isomorphism, verify_isomorphism
+from .linalg import frac
 
 
 class CheckFailed(Exception):
@@ -54,7 +55,7 @@ def _parse_params(raw: list[str] | None) -> dict[str, Fraction]:
                 raise ValueError("parameter '%s' is not of the form name=value" % piece)
             name, _, value = piece.partition("=")
             try:
-                params[name.strip()] = Fraction(value.strip())
+                params[name.strip()] = frac(value.strip())
             except (ValueError, ZeroDivisionError):
                 raise ValueError("parameter value '%s' is not rational" % value) from None
     return params

@@ -20,22 +20,23 @@ and the ZL^2 kernel all read those rows, and the kernel eliminates them
 as ints.  `condition_matrix` is a dense view of them divided by D, for
 display and measurement, not the path to ZL^2.
 
-Membership in span(BL^2 + representatives) and the class coordinates of
-a form both read one echelon per base, `CohomologyBasis.classes`, cached
-with the basis: reducing a form against it leaves a residue whose form
-part is empty exactly for members, and whose tag part is minus the class
-coordinates.
+The coboundary map is encoded once too, as the rows of
+`_coboundary_rows`, D times delta(e_m^*).  BL^2 spans them, and they
+seed one echelon per base, `CohomologyBasis.classes`, cached with the
+basis: reducing a form against it leaves a residue whose form part is
+empty exactly for cocycles, and whose tag parts are minus the class
+coordinates and minus a coboundary preimage of the rest.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import Algebra, Subspace
+from .core import Algebra, Subspace, _span_int_rows
 from .linalg import Echelon, Matrix, Vector, frac, rank, sparse, zero_vector
 
 
@@ -246,51 +247,64 @@ def cocycle_space(a: Algebra) -> CochainSpace:
     return CochainSpace(n, Subspace.span(n * n, kernel))
 
 
+def _coboundary_rows(a: Algebra) -> list[dict[int, int]]:
+    """Row m is D delta(e_m^*) as a sparse int row over the flat form coordinates.
+
+    The only place the coboundary map is written: the entry at p*n + q is
+    the e_{m+1} entry of [e_p, e_q] in `Algebra.table` (D times the
+    coordinate), scattered from the table's nonzero products.
+    """
+    n = a.dim
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    for (u, v), terms in a.table.products.items():
+        for m, c in terms:
+            rows[m][u * n + v] = c
+    return rows
+
+
 def coboundary_generator(a: Algebra, m: int) -> BilinearForm:
     """The coboundary of the m-th (0-based) coordinate functional.
 
     Its value at (e_i, e_j) is the e_{m+1}-coordinate of [e_i, e_j].
     """
-    return BilinearForm.from_entries(a.dim, {(i, j): c for i, j, k, c in a.products() if k == m + 1})
+    n = a.dim
+    if not 0 <= m < n:
+        raise IndexError("functional index %d out of range for dimension %d" % (m, n))
+    row = _coboundary_rows(a)[m]
+    return BilinearForm.from_flat(n, [Fraction(row.get(p, 0), a.table.denominator) for p in range(n * n)])
 
 
 @lru_cache(maxsize=None)
 def coboundary_space(a: Algebra) -> CochainSpace:
     """BL^2 with scalar coefficients; its rank equals dim L^2."""
     n = a.dim
-    vectors = [coboundary_generator(a, m).flatten() for m in range(n)]
-    return CochainSpace(n, Subspace.span(n * n, vectors))
+    return CochainSpace(n, _span_int_rows(n * n, _coboundary_rows(a)))
 
 
 @dataclass(frozen=True)
 class CohomologyBasis:
-    """ZL^2, BL^2, and complement representatives for the quotient."""
+    """ZL^2, BL^2, complement representatives, and the class echelon.
+
+    `classes` has n^2 form columns, dim class tag columns and n preimage
+    tag columns, functional m at column n - 1 - m of that block.  Its rows
+    are [D delta(e_m^*) | 0 | D e_(n-1-m)] for each nonzero row of
+    `_coboundary_rows` and [rep_t | e_t | 0] for each representative, so
+    a form reduces to [0 | -c | -psi] exactly when it equals
+    sum_t c_t rep_t + delta(psi).  The relations among the coboundary
+    rows pivot on preimage columns; reversed, those are the m with
+    delta(e_m^*) in the span of delta(e_0^*), ..., delta(e_(m-1)^*), so
+    psi is zero there: it is the preimage with every free coordinate zero
+    when the generators are eliminated in natural order.
+    """
 
     cocycles: CochainSpace
     coboundaries: CochainSpace
     representatives: tuple[BilinearForm, ...]
+    classes: Echelon = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.representatives)
-
-    @cached_property
-    def classes(self) -> Echelon:
-        """One echelon over the n^2 form columns and dim tag columns.
-
-        Its rows are [b | 0] for each BL^2 basis vector b and
-        [rep_t | e_t] for each representative.  BL^2 and the
-        representatives are independent, so every pivot is a form column
-        and a form reduces to [0 | -c] exactly when it equals
-        sum_t c_t rep_t modulo BL^2.
-        """
-        width = self.cocycles.dim ** 2
-        rows = [sparse(b) for b in self.coboundaries.space.basis]
-        for t, rep in enumerate(self.representatives):
-            row = sparse(rep.flatten())
-            row[width + t] = 1
-            rows.append(row)
-        return Echelon(width + self.dim, rows)
 
 
 @lru_cache(maxsize=None)
@@ -299,36 +313,55 @@ def cohomology_basis(a: Algebra) -> CohomologyBasis:
 
     The candidates are the canonical ZL^2 basis, taken in order; a
     candidate is kept when it is independent of BL^2 plus the candidates
-    already kept, which one growing echelon decides.  The kept forms are
-    returned verbatim (not re-reduced), so each representative is an
-    actual ZL^2 basis vector.
+    already kept, that is when its reduction against `classes` leaves a
+    form part, and is then added to `classes` with its tag.  The kept
+    forms are returned verbatim (not re-reduced), so each representative
+    is an actual ZL^2 basis vector.
     """
-    z = cocycle_space(a)
-    b = coboundary_space(a)
-    echelon = Echelon(a.dim * a.dim, map(sparse, b.space.basis))
-    reps = tuple(
-        BilinearForm.from_flat(a.dim, v) for v in z.space.basis if echelon.add(sparse(v))
-    )
-    return CohomologyBasis(z, b, reps)
+    n = a.dim
+    z, b = cocycle_space(a), coboundary_space(a)
+    width = n * n
+    last = width + (z.rank - b.rank) + n - 1  # the preimage tag of functional 0
+    den = a.table.denominator
+    classes = Echelon(last + 1, ({**row, last - m: den} for m, row in enumerate(_coboundary_rows(a)) if row))
+    reps: list[BilinearForm] = []
+    for v in z.space.basis:
+        row = sparse(v)
+        if any(p < width for p in classes.reduce(row)):
+            classes.add({**row, width + len(reps): 1})
+            reps.append(BilinearForm.from_flat(n, v))
+    return CohomologyBasis(z, b, tuple(reps), classes)
 
 
 def cohomology_dim(a: Algebra) -> int:
     return cohomology_basis(a).dim
 
 
-def cohomology_class(a: Algebra, form: BilinearForm) -> tuple[Fraction, ...] | None:
-    """Coordinates of the class of `form` against the representatives.
+def _class_and_preimage(a: Algebra, form: BilinearForm) -> tuple[tuple[Fraction, ...], Vector] | None:
+    """(c, psi) with form = sum_t c_t rep_t + delta(psi), or None for a non-cocycle.
 
-    None when the form is not a cocycle.  A zero tuple means the form is a
-    coboundary.  One reduce against the cached `CohomologyBasis.classes`.
+    One reduce against `CohomologyBasis.classes`; psi is the preimage
+    described there.
     """
     _check_form_dim(a, form)
     basis = cohomology_basis(a)
     width = a.dim * a.dim
-    residue = basis.classes.reduce({p: x for p, x in enumerate(form.flatten()) if x})
+    residue = basis.classes.reduce(sparse(form.flatten()))
     if any(p < width for p in residue):
         return None
-    return tuple(-residue.get(width + t, Fraction(0)) for t in range(basis.dim))
+    zero = Fraction(0)
+    tags = [-residue[p] if p in residue else zero for p in range(width, basis.classes.cols)]
+    return tuple(tags[: basis.dim]), tuple(reversed(tags[basis.dim :]))
+
+
+def cohomology_class(a: Algebra, form: BilinearForm) -> tuple[Fraction, ...] | None:
+    """Coordinates of the class of `form` against the representatives.
+
+    None when the form is not a cocycle.  A zero tuple means the form is a
+    coboundary.
+    """
+    found = _class_and_preimage(a, form)
+    return None if found is None else found[0]
 
 
 def preferred_cohomology_basis(

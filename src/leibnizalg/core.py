@@ -29,6 +29,7 @@ reference checks.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,11 +44,8 @@ from .linalg import (
     common_denominator,
     frac,
     inverse,
-    is_zero_vector,
     sparse,
     unit_vector,
-    vec_add,
-    vec_sub,
 )
 
 _ZERO = Fraction(0)
@@ -565,34 +563,26 @@ def _greedy_max_charseq(n: int, cap: int) -> CharSeq:
     return CharSeq(tuple(parts))
 
 
-def _random_rational_vector(rng: random.Random, n: int) -> Vector:
-    return tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n))
-
-
-def _scale_to_integers(v: Vector) -> Vector:
-    """Clear denominators; the Jordan type of R_x is scale-invariant."""
-    lcm = common_denominator(v)
-    if lcm == 1:
-        return v
-    c = Fraction(lcm)
-    return tuple(x * c for x in v)
-
-
 @lru_cache(maxsize=32)
 def _charseq_probes(n: int) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
     """The nonzero candidate vectors in sweep order, each with its ints.
 
-    Every candidate has integer entries, so the ints are its numerators.
+    Every candidate has integer entries.  A random one is drawn as n
+    rationals r/q and scaled by the least common denominator of their
+    lowest terms: the Jordan type of R_x is scale-invariant.
     """
-    candidates: list[Vector] = [unit_vector(n, i) for i in range(n)]
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    candidates = list(units)
     for i in range(n):
         for j in range(i + 1, n):
-            candidates.append(vec_add(unit_vector(n, i), unit_vector(n, j)))
-            candidates.append(vec_sub(unit_vector(n, i), unit_vector(n, j)))
+            for sign in (1, -1):
+                candidates.append(tuple(x + sign * y for x, y in zip(units[i], units[j])))
     rng = random.Random(CHARSEQ_SEED)
     for _ in range(CHARSEQ_RANDOM_TRIALS):
-        candidates.append(_scale_to_integers(_random_rational_vector(rng, n)))
-    return tuple((x, tuple(v.numerator for v in x)) for x in candidates if not is_zero_vector(x))
+        draws = [(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+        scale = math.lcm(*(q // math.gcd(r, q) for r, q in draws))
+        candidates.append(tuple(r * scale // q for r, q in draws))
+    return tuple((tuple(map(Fraction, ints)), ints) for ints in candidates if any(ints))
 
 
 def _quotient_functionals(space: Subspace) -> list[list[tuple[int, int]]]:

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .cohomology import (
     BilinearForm,
     _condition_rows,
+    _class_and_preimage,
     _defects,
     cocycle_space,
     cohomology_basis,
@@ -27,7 +28,7 @@ from .cohomology import (
     combine,
 )
 from .core import Algebra, LeibnizError, Subspace, _from_records, center, check_leibniz
-from .linalg import Matrix, Vector, inverse, rref, solve, unit_vector
+from .linalg import Matrix, Vector, inverse, rref, unit_vector
 
 
 class InvalidCocycleError(ValueError):
@@ -171,8 +172,11 @@ def reduce_extension(spec: ExtensionSpec) -> SplitReport:
     section e_i -> e_i + sum_s phi_s(e_i) c_s over the trailing adapted
     central vectors c_s.
 
-    Over a Leibniz base a form lacks a class exactly when it is not a
-    cocycle, so the class computation is the only validation needed.
+    One reduce per component gives its class and a coboundary preimage
+    psi_t of the rest (`cohomology._class_and_preimage`), so the shift of
+    trailing component s is sum_t U[s][t] psi_t.  Over a Leibniz base a
+    form lacks a class exactly when it is not a cocycle, so the class
+    computation is the only validation needed.
     """
     base = spec.base
     _require_leibniz(base)
@@ -181,13 +185,14 @@ def reduce_extension(spec: ExtensionSpec) -> SplitReport:
     if k == 0:
         empty = Matrix.zeros(0, 0)
         return SplitReport(0, 0, empty, (), (), Matrix.identity(n))
-    classes = []
+    found = []
     for form in spec.forms:
-        coords = cohomology_class(base, form)
-        if coords is None:
+        pair = _class_and_preimage(base, form)
+        if pair is None:
             validate_cocycle(spec)  # raises, naming the first violating triple
-        assert coords is not None
-        classes.append(coords)
+        assert pair is not None
+        found.append(pair)
+    classes, preimages = zip(*found)
     augmented = Matrix(
         [tuple(row) + unit_vector(k, t) for t, row in enumerate(classes)], cols=h + k
     )
@@ -196,17 +201,10 @@ def reduce_extension(spec: ExtensionSpec) -> SplitReport:
     u = Matrix([row[h:] for row in reduced_rows.data], cols=k)
     w = inverse(u)
     assert w is not None  # row operations are invertible
-    transformed = [combine(spec.forms, u.row(s)) for s in range(k)]
-    # Column m is the flattened coboundary of the m-th coordinate functional.
-    grid = [[Fraction(0)] * n for _ in range(n * n)]
-    for i, j, m, c in base.products():
-        grid[(i - 1) * n + j - 1][m - 1] = c
-    generators = Matrix(grid, cols=n)
-    shifts: list[Vector] = []
-    for s in range(d, k):
-        phi = solve(generators, transformed[s].flatten())
-        assert phi is not None  # zero class means a coboundary
-        shifts.append(phi)
+    shifts = [
+        tuple(sum((c * psi[i] for c, psi in zip(u.row(s), preimages) if c), Fraction(0)) for i in range(n))
+        for s in range(d, k)
+    ]
     columns: list[Vector] = []
     for i in range(n):
         col = [Fraction(0)] * (n + k)
@@ -226,7 +224,7 @@ def reduce_extension(spec: ExtensionSpec) -> SplitReport:
         class_rank=d,
         abelian_dim=k - d,
         v_basis=w,
-        reduced=tuple(transformed[:d]),
+        reduced=tuple(combine(spec.forms, u.row(s)) for s in range(d)),
         section_shift=tuple(shifts),
         change_of_basis=Matrix.from_columns(columns),
     )

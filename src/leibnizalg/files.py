@@ -1,7 +1,8 @@
 """JSON file formats for algebras, cocycles, and matrices.
 
 All rational values are carried as strings ("−3/2" style literals) so no
-float ever enters the exact pipeline.  Writers emit a canonical form:
+float ever enters the exact pipeline; they are parsed by `linalg.frac`,
+which refuses literals with an exponent.  Writers emit a canonical form:
 records sorted by index, rationals normalized, two-space indentation, a
 trailing newline.  Reading a canonical file and writing it back is
 bit-identical.
@@ -16,7 +17,7 @@ from typing import Any
 from . import core
 from .cohomology import BilinearForm
 from .core import Algebra, algebra_from_products
-from .linalg import Matrix
+from .linalg import Matrix, frac
 
 
 class FileFormatError(ValueError):
@@ -26,11 +27,9 @@ class FileFormatError(ValueError):
 def _rational(value: Any, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise FileFormatError("%s must be an integer or a rational string, got %r" % (where, value))
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         try:
-            return Fraction(value)
+            return frac(value)
         except (ValueError, ZeroDivisionError):
             raise FileFormatError("%s is not a rational literal: %r" % (where, value)) from None
     raise FileFormatError("%s must be an integer or a rational string, got %r" % (where, value))

@@ -13,10 +13,11 @@ is reduced against the pivot rows already found, its leftmost nonzero
 column becomes a new pivot, and that column is eliminated from the
 earlier pivot rows; `Fraction`s appear only at the boundary, where a
 reduced row, a kernel vector or a residue is handed back.  The cocycle
-systems this package solves have n^3 integer rows over n^2 unknowns with
+systems this package eliminates have n^3 integer rows over n^2 unknowns with
 only a few nonzeros per row, which is where the sparse rows pay.
-`rref`, `rank`, `kernel_basis`, `solve`, `inverse` and
-`core.Subspace.span` all go through it.  Rank sequences of powers of a
+`rref`, `rank`, `kernel_basis`, `inverse`, `core.Subspace.span` and
+the class echelon of `cohomology`, which also yields coboundary
+preimages, all go through it.  Rank sequences of powers of a
 matrix (Jordan types) and singularity tests use Bareiss elimination
 (`integer_rank`) on dense int grids instead, which is faster on those
 small dense grids.  `core` builds those grids as ints straight from an
@@ -30,9 +31,9 @@ Determinism conventions, relied on throughout the package:
   added or eliminated.
 * `kernel_basis` enumerates free columns in increasing order and sets the
   free coordinate of each basis vector to 1.
-* `solve` returns the particular solution with all free variables zero.
 
-Floats are refused at construction time and by `Echelon`; the one
+Floats are refused at construction time and by `Echelon`, and `frac`,
+the one parser of rational literals, refuses exponents; the one
 floating-point helper lives elsewhere and never feeds back into exact
 results.
 """
@@ -54,12 +55,15 @@ def frac(value: int | str | Fraction) -> Fraction:
     """Coerce an int, a string like '-3/2', or a Fraction to a Fraction.
 
     Floats are rejected: silent binary-to-rational conversion is how
-    inexactness sneaks into an exact pipeline.
+    inexactness sneaks into an exact pipeline.  So are strings with an
+    exponent: `Fraction("1e4000000")` builds 10^4000000 before any check.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError("refusing to coerce float %r to an exact rational" % (value,))
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError("refusing rational literal with an exponent: %r" % (value,))
     return Fraction(value)
 
 
@@ -75,18 +79,6 @@ def unit_vector(n: int, i: int) -> Vector:
     if not 0 <= i < n:
         raise IndexError("unit vector index %d out of range for length %d" % (i, n))
     return tuple(_ONE if j == i else _ZERO for j in range(n))
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def is_zero_vector(v: Vector) -> bool:
-    return not any(v)
 
 
 class Matrix:
@@ -324,9 +316,12 @@ class Echelon:
         return tuple(basis)
 
 
-def sparse(v: Iterable[int | str | Fraction]) -> dict[int, Fraction]:
-    """The nonzero entries of a dense vector, keyed by index."""
-    return {j: x for j, x in enumerate(map(frac, v)) if x}
+def sparse(v: Iterable[int | Fraction]) -> dict[int, int | Fraction]:
+    """The nonzero entries of a dense vector, keyed by index.
+
+    Entries pass through as they are: `Echelon` refuses inexact ones.
+    """
+    return {j: x for j, x in enumerate(v) if x}
 
 
 def _echelon(m: Matrix) -> Echelon:
@@ -351,26 +346,6 @@ def rank(m: Matrix) -> int:
 def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
     """Basis of the right null space {v : m v = 0}, as `Echelon.kernel`."""
     return _echelon(m).kernel()
-
-
-def solve(m: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
-    """One solution of m x = rhs with all free variables zero, or None.
-
-    None signals an inconsistent system.  When the system is consistent
-    the returned solution is canonical (free coordinates zero).
-    """
-    if len(rhs) != m.rows:
-        raise ValueError("rhs of length %d against %d rows" % (len(rhs), m.rows))
-    n = m.cols
-    e = Echelon(n + 1, (sparse(row + (b,)) for row, b in zip(m.data, map(frac, rhs))))
-    if n in e.held:
-        return None
-    x = [_ZERO] * n
-    for p, row in e.held.items():
-        b = row.get(n)
-        if b:
-            x[p] = Fraction(b, row[p])
-    return tuple(x)
 
 
 def inverse(m: Matrix) -> Matrix | None:

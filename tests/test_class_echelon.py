@@ -2,11 +2,17 @@
 
 `oracle_cohomology_class` is the earlier `cohomology_class`, which solved
 one fresh system [BL^2 | representatives] per form, and `oracle_combine`
-the earlier `combine`, which scaled and added dense forms.  They live
-here only, as references for `CohomologyBasis.classes` and the flat
-accumulation in `combine`.
+the earlier `combine`, which scaled and added dense forms.
+`oracle_coboundary_generator` is the earlier `coboundary_generator`,
+read from `products()`, and `oracle_reduce_extension` the earlier
+`reduce_extension`, which solved its own dense n^2 x n grid of
+coboundary generators (`oracle_generator_matrix`) with `solve` for every
+absorbed component.  They live here only, as references for
+`CohomologyBasis.classes`, the coboundary preimages it returns, the
+coboundary rows and the flat accumulation in `combine`.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,15 +22,27 @@ from hypothesis import strategies as st
 from leibnizalg import catalog
 from leibnizalg.cohomology import (
     BilinearForm,
+    _class_and_preimage,
     coboundary_generator,
+    coboundary_space,
     cocycle_space,
     cohomology_basis,
     cohomology_class,
     combine,
     is_cocycle,
 )
+from leibnizalg.core import Subspace
+from leibnizalg.extension import (
+    SplitReport,
+    _require_leibniz,
+    make_spec,
+    random_cocycle_forms,
+    reduce_extension,
+    validate_cocycle,
+)
 from leibnizalg.isomorphism import transform_algebra
-from leibnizalg.linalg import Matrix, solve
+from leibnizalg.linalg import Matrix, Vector, inverse, rref, unit_vector
+from oracles import solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -56,6 +74,74 @@ def oracle_combine(forms, coeffs):
     return acc
 
 
+def oracle_coboundary_generator(a, m):
+    return BilinearForm.from_entries(a.dim, {(i, j): c for i, j, k, c in a.products() if k == m + 1})
+
+
+def oracle_generator_matrix(a):
+    n = a.dim
+    # Column m is the flattened coboundary of the m-th coordinate functional.
+    grid = [[Fraction(0)] * n for _ in range(n * n)]
+    for i, j, m, c in a.products():
+        grid[(i - 1) * n + j - 1][m - 1] = c
+    return Matrix(grid, cols=n)
+
+
+def oracle_reduce_extension(spec):
+    base = spec.base
+    _require_leibniz(base)
+    n, k = base.dim, spec.k
+    h = cohomology_basis(base).dim
+    if k == 0:
+        empty = Matrix.zeros(0, 0)
+        return SplitReport(0, 0, empty, (), (), Matrix.identity(n))
+    classes = []
+    for form in spec.forms:
+        coords = oracle_cohomology_class(base, form)
+        if coords is None:
+            validate_cocycle(spec)  # raises, naming the first violating triple
+        assert coords is not None
+        classes.append(coords)
+    augmented = Matrix(
+        [tuple(row) + unit_vector(k, t) for t, row in enumerate(classes)], cols=h + k
+    )
+    reduced_rows, pivots = rref(augmented)
+    d = sum(1 for p in pivots if p < h)
+    u = Matrix([row[h:] for row in reduced_rows.data], cols=k)
+    w = inverse(u)
+    assert w is not None  # row operations are invertible
+    transformed = [oracle_combine(spec.forms, u.row(s)) for s in range(k)]
+    generators = oracle_generator_matrix(base)
+    shifts: list[Vector] = []
+    for s in range(d, k):
+        phi = solve(generators, transformed[s].flatten())
+        assert phi is not None  # zero class means a coboundary
+        shifts.append(phi)
+    columns: list[Vector] = []
+    for i in range(n):
+        col = [Fraction(0)] * (n + k)
+        col[i] = Fraction(1)
+        for s in range(d, k):
+            f = shifts[s - d][i]
+            if f:
+                for t in range(k):
+                    col[n + t] += f * w.data[t][s]
+        columns.append(tuple(col))
+    for s in range(k):
+        col = [Fraction(0)] * (n + k)
+        for t in range(k):
+            col[n + t] = w.data[t][s]
+        columns.append(tuple(col))
+    return SplitReport(
+        class_rank=d,
+        abelian_dim=k - d,
+        v_basis=w,
+        reduced=tuple(transformed[:d]),
+        section_shift=tuple(shifts),
+        change_of_basis=Matrix.from_columns(columns),
+    )
+
+
 MEMBERS = (
     ("abelian", 0, {}),
     ("abelian", 3, {}),
@@ -83,10 +169,14 @@ def members(draw):
     if kind == "catalog" or dim == 0:
         return a
     sign = st.sampled_from((_ONE, -_ONE))
-    q = [[_ZERO] * dim for _ in range(dim)]
+    lower = [[_ZERO] * dim for _ in range(dim)]
+    upper = [[_ZERO] * dim for _ in range(dim)]
     for r in range(dim):
         for c in range(r + 1):
-            q[r][c] = draw(sign)
+            lower[r][c] = draw(sign)
+            upper[c][r] = draw(sign) if c < r else _ONE
+    # A triangular basis keeps the flag e_j, ..., e_n; the product mixes it.
+    q = (Matrix(lower, cols=dim) @ Matrix(upper, cols=dim)).data
     if kind == "dense-rational":
         scale = [draw(st.sampled_from((Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)))) for _ in range(dim)]
         q = [[x * scale[c] for c, x in enumerate(row)] for row in q]
@@ -116,6 +206,50 @@ def test_class_of_coboundary_is_zero(data):
     form = random_combination(data.draw, generators, a.dim)
     h = cohomology_basis(a).dim
     assert cohomology_class(a, form) == oracle_cohomology_class(a, form) == (_ZERO,) * h
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_preimage_of_coboundary_matches_solve_oracle(data):
+    a = data.draw(members())
+    generators = [coboundary_generator(a, m) for m in range(a.dim)]
+    form = random_combination(data.draw, generators, a.dim)
+    h = cohomology_basis(a).dim
+    expected = solve(oracle_generator_matrix(a), form.flatten())
+    assert expected is not None
+    assert _class_and_preimage(a, form) == ((_ZERO,) * h, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_class_and_preimage_of_cocycle_match_oracles(data):
+    a = data.draw(members())
+    form = random_combination(data.draw, cocycle_space(a).forms(), a.dim)
+    coords = oracle_cohomology_class(a, form)
+    assert coords is not None
+    reps = cohomology_basis(a).representatives
+    rest = form.add(oracle_combine(reps, coords).scale(-_ONE)) if reps else form
+    expected = solve(oracle_generator_matrix(a), rest.flatten())
+    assert expected is not None
+    assert _class_and_preimage(a, form) == (coords, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reduce_extension_matches_solve_oracle(data):
+    a = data.draw(members())
+    k = data.draw(st.integers(0, 6))
+    spec = make_spec(a, *random_cocycle_forms(a, k, random.Random(data.draw(st.integers(0, 2**16)))))
+    assert reduce_extension(spec) == oracle_reduce_extension(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(members())
+def test_coboundary_rows_match_products_oracle(a):
+    generators = [oracle_coboundary_generator(a, m) for m in range(a.dim)]
+    assert [coboundary_generator(a, m) for m in range(a.dim)] == generators
+    span = Subspace.span(a.dim * a.dim, [g.flatten() for g in generators])
+    assert coboundary_space(a).space == span
 
 
 @settings(max_examples=60, deadline=None)

@@ -125,6 +125,13 @@ def test_cohomology_class_vanishes_on_coboundaries():
     assert all(c == 0 for c in cls)
 
 
+def test_coboundary_generator_refuses_index_out_of_range():
+    a = catalog.make("F1", 5)
+    for m in (-1, 5):
+        with pytest.raises(IndexError, match="out of range"):
+            coboundary_generator(a, m)
+
+
 def test_cohomology_class_none_for_non_cocycle():
     a = catalog.make("NF", 3)
     assert cohomology_class(a, BilinearForm.singleton(3, 1, 3)) is None

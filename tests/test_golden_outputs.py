@@ -9,9 +9,12 @@ chosen representative or a coefficient size shows here as a diff.
 
 `golden_reduce.json` holds the canonical JSON of the `SplitReport`
 fields of `reduce_extension` for one seeded `random_cocycle_forms` spec
-per (F1/F2, n = 5..8, k = 1..6), a k = 0 spec and a 0-dimensional base.
-It was recorded with the `solve`-per-form `cohomology_class` and the
-dense `combine` that the cached tagged echelon replaced.
+per (F1/F2, n = 5..8, k = 1..6), a k = 0 spec, a 0-dimensional base and
+one spec per (F1/F2, n = 5..7, k = 1..6) in a dense rational basis.  It
+was recorded with the `solve`-per-form `cohomology_class` and the dense
+`combine` that the cached tagged echelon replaced; the dense rational
+specs were added while `reduce_extension` still ran `linalg.solve` over
+its own grid of coboundary generators.
 
 `golden_reproduce.json` holds `reproduce.run(id).as_dict()` of every
 experiment at the default seed, in `experiment_ids()` order.  It was
@@ -142,6 +145,18 @@ def reduce_specs():
                 yield "%s-%d-k%d" % (family, n, k), make_spec(base, *random_cocycle_forms(base, k, rng))
     yield "F1-5-k0", make_spec(catalog.make("F1", 5))
     yield "abelian-0-k2", make_spec(catalog.make("abelian", 0), BilinearForm.zero(0), BilinearForm.zero(0))
+    # In a dense rational basis the coboundary generators are dependent, so
+    # the section shifts pin down which preimage of a coboundary is chosen.
+    # The triangular basis alone keeps L^2 on the last coordinates; the
+    # product with an upper triangular one mixes them.
+    for family in ("F1", "F2"):
+        for n in range(5, 8):
+            q = dense_basis(n, True) @ dense_basis(n, False).transpose()
+            base = transform_algebra(catalog.make(family, n), q)
+            for k in range(1, 7):
+                rng = random.Random(1000 + 100 * n + 10 * k + (family == "F2"))
+                spec = make_spec(base, *random_cocycle_forms(base, k, rng))
+                yield "%s-%d-k%d-dense-rational" % (family, n, k), spec
 
 
 def reduce_payload():

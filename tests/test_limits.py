@@ -82,3 +82,15 @@ def test_cli_search_budget_outside_limits_exits_2(monkeypatch, tmp_path, capsys)
     for budget in ("0", "11"):
         assert main(["iso", "search", str(path), str(path), "--budget", budget]) == 2
         assert "search budget" in capsys.readouterr().err
+
+
+def test_rational_literal_with_exponent_is_refused(tmp_path, capsys):
+    # Accepted, "1e100000" would parse into a 332,000-bit integer.
+    with pytest.raises(files.FileFormatError, match="not a rational literal"):
+        files.algebra_from_dict({"dim": 2, "brackets": [{"i": 1, "j": 1, "k": 2, "c": "1e100000"}]})
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps({"dim": 2, "brackets": [{"i": 1, "j": 1, "k": 2, "c": "1E100000"}]}))
+    assert main(["validate", str(path)]) == 3
+    assert "not a rational literal" in capsys.readouterr().err
+    assert main(["catalog", "make", "F1param", "--n", "6", "--param", "alpha6=1e100000"]) == 2
+    assert "is not rational" in capsys.readouterr().err

@@ -1,4 +1,8 @@
-"""Exact rational linear algebra: frozen oracles plus randomized laws."""
+"""Exact rational linear algebra: frozen oracles plus randomized laws.
+
+`solve` is the earlier `linalg.solve`, now a test oracle in `oracles`;
+its frozen cases stay here.
+"""
 
 from fractions import Fraction
 
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leibnizalg.core import Subspace
 from leibnizalg.linalg import (
     Matrix,
     frac,
@@ -15,9 +20,9 @@ from leibnizalg.linalg import (
     kernel_basis,
     rank,
     rref,
-    solve,
     vec,
 )
+from oracles import solve
 
 
 def test_frac_accepts_ints_strings_fractions():
@@ -30,6 +35,21 @@ def test_frac_rejects_floats():
     # floats smuggle binary rounding into exact pipelines
     with pytest.raises(TypeError):
         frac(0.5)
+
+
+def test_frac_rejects_exponents():
+    # "1e4000000" would build 10**4000000 before any size check
+    for literal in ("1e100000", "2E3", "-1.5e-2"):
+        with pytest.raises(ValueError, match="exponent"):
+            frac(literal)
+    assert frac(" -3/2 ") == Fraction(-3, 2)
+    assert frac("1.25") == Fraction(5, 4)
+
+
+def test_span_refuses_float_entries():
+    # `sparse` passes entries through; the elimination itself refuses floats
+    with pytest.raises(TypeError, match="refusing to eliminate float"):
+        Subspace.span(2, [(Fraction(1), 0.5)])
 
 
 def test_rref_frozen_oracle():

@@ -10,7 +10,10 @@ earlier `cohomology_basis` loop, which re-spanned BL^2 plus the kept
 candidates for every candidate, and `oracle_jordan_ranks` the earlier
 Fraction branch of `jordan_type_nilpotent`.  They live here only, as
 references for the single elimination loop in `linalg.Echelon` and for
-the fraction-free rank sequence.
+the fraction-free rank sequence.  `solve`, the earlier sparse
+`linalg.solve` kept in `oracles`, is checked against the dense one,
+since the coboundary preimages of the class echelon are checked against
+it.
 """
 
 import math
@@ -30,7 +33,8 @@ from leibnizalg.cohomology import (
 )
 from leibnizalg.core import Subspace, jordan_type_nilpotent
 from leibnizalg.isomorphism import transform_algebra
-from leibnizalg.linalg import Echelon, Matrix, Vector, inverse, kernel_basis, rank, rref, solve
+from leibnizalg.linalg import Echelon, Matrix, Vector, inverse, kernel_basis, rank, rref
+from oracles import solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

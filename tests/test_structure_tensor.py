@@ -8,7 +8,12 @@ characteristic sequence over `right_mult_operator` and
 `jordan_type_nilpotent`, `_brackets_match`, and the `Matrix` candidate
 stream of the isomorphism search.  `oracle_equal` is the field-wise
 equality of the earlier frozen dataclass.  They live here only, as
-references for the loops over `Algebra.table`.
+references for the loops over `Algebra.table`.  `oracle_charseq_probes`
+is the earlier `_charseq_probes`, which drew each random probe as
+`Fraction`s (`_random_rational_vector`) and cleared their denominators
+(`_scale_to_integers`); with `vec_add`, `vec_sub` and `is_zero_vector`,
+copied from the earlier `linalg`, it is the reference for the probes
+drawn as ints.
 
 `DenseAlgebra` is the earlier `Algebra`, which stored the dense grid
 `sc` and scanned it into the integer table; `oracle_direct_sum`,
@@ -40,9 +45,8 @@ from leibnizalg.core import (
     LeibnizViolation,
     NotNilpotentError,
     Subspace,
+    _charseq_probes,
     _greedy_max_charseq,
-    _random_rational_vector,
-    _scale_to_integers,
     abelian_algebra,
     algebra_from_products,
     bracket,
@@ -85,11 +89,8 @@ from leibnizalg.linalg import (
     Vector,
     common_denominator,
     inverse,
-    is_zero_vector,
     kernel_basis,
     unit_vector,
-    vec_add,
-    vec_sub,
     zero_vector,
 )
 
@@ -98,6 +99,47 @@ _ONE = Fraction(1)
 
 
 # ------------------------------------------------------------------ oracles
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def is_zero_vector(v):
+    return not any(v)
+
+
+def _random_rational_vector(rng, n):
+    return tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n))
+
+
+def _scale_to_integers(v):
+    """Clear denominators; the Jordan type of R_x is scale-invariant."""
+    lcm = common_denominator(v)
+    if lcm == 1:
+        return v
+    c = Fraction(lcm)
+    return tuple(x * c for x in v)
+
+
+def oracle_charseq_probes(n):
+    """The nonzero candidate vectors in sweep order, each with its ints.
+
+    Every candidate has integer entries, so the ints are its numerators.
+    """
+    candidates = [unit_vector(n, i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            candidates.append(vec_add(unit_vector(n, i), unit_vector(n, j)))
+            candidates.append(vec_sub(unit_vector(n, i), unit_vector(n, j)))
+    rng = random.Random(CHARSEQ_SEED)
+    for _ in range(CHARSEQ_RANDOM_TRIALS):
+        candidates.append(_scale_to_integers(_random_rational_vector(rng, n)))
+    return tuple((x, tuple(v.numerator for v in x)) for x in candidates if not is_zero_vector(x))
 
 
 def oracle_equal(a, b):
@@ -605,6 +647,11 @@ def test_characteristic_sequence_matches_dense_oracle(member):
     expected = oracle_charseq(a, CHARSEQ_RANDOM_TRIALS, CHARSEQ_SEED)
     got = characteristic_sequence(a)
     assert (got.seq, got.witness, got.exact) == (expected.seq, expected.witness, expected.exact)
+
+
+def test_charseq_probes_match_rational_draws():
+    for n in range(1, 11):
+        assert _charseq_probes(n) == oracle_charseq_probes(n)
 
 
 @settings(max_examples=60, deadline=None)
