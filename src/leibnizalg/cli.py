@@ -153,10 +153,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
     basis = cohomology_basis(algebra)
     reps = [
         {
-            "entries": [
-                {"i": i, "j": j, "c": str(form.values[i - 1][j - 1])}
-                for i, j in form.support()
-            ]
+            "entries": [{"i": i, "j": j, "c": str(c)} for i, j, c in form.terms()]
         }
         for form in basis.representatives
     ]
@@ -175,10 +172,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
         "  quotient: %d" % basis.dim,
     ]
     for idx, form in enumerate(basis.representatives, start=1):
-        terms = [
-            "theta(e%d, e%d) = %s" % (i, j, form.values[i - 1][j - 1])
-            for i, j in form.support()
-        ]
+        terms = ["theta(e%d, e%d) = %s" % (i, j, c) for i, j, c in form.terms()]
         text.append("  class %d: %s" % (idx, "; ".join(terms)))
     _emit(args, payload, "\n".join(text))
     return 0

@@ -1,6 +1,12 @@
 """Second cohomology of a Leibniz algebra with central coefficients.
 
-A scalar 2-cochain is a bilinear form on the algebra.  Cocycles satisfy
+A scalar 2-cochain is a bilinear form on the algebra.  A form is stored
+once, the way an algebra stores its integer table: the least common
+denominator of its values and the nonzero values times it, as ints
+keyed by the flat index p*n + q (`BilinearForm.entries`).  Combinations,
+cocycle defects, class reductions and extension tables read those ints;
+the dense grid `BilinearForm.values` is a view derived on demand.
+Cocycles satisfy
 
     theta(x, [y, z]) = theta([x, y], z) - theta([x, z], y),
 
@@ -30,6 +36,7 @@ coordinates and minus a coboundary preimage of the rest.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,33 +44,81 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Algebra, Subspace, _span_int_rows
-from .linalg import Echelon, Matrix, Vector, frac, rank, sparse, zero_vector
+from .linalg import Echelon, Matrix, Vector, _exact_row, common_denominator, frac, rank, sparse
+
+_ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
 class BilinearForm:
-    """Scalar bilinear form; values[i][j] = theta(e_{i+1}, e_{j+1})."""
+    """Scalar bilinear form theta on an algebra of dimension `dim`.
 
-    dim: int
-    values: tuple[Vector, ...]
+    Stored in one form, the way `Algebra.table` stores structure
+    constants: `denominator` is the least common denominator D of the
+    nonzero values, and `entries` maps the flat index p*dim + q of each
+    nonzero theta(e_{p+1}, e_{q+1}) to D times it, an int, in increasing
+    index order.  Equal forms have equal fields, so equality and the hash
+    compare them.  `values[i][j]` = theta(e_{i+1}, e_{j+1}) and
+    `flatten()` are dense `Fraction` views derived from the entries, for
+    display and reference checks.  `BilinearForm(dim, values)` builds a
+    form from such a dense grid; every entry goes through `frac`, so a
+    float is refused there.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.values) != self.dim or any(len(row) != self.dim for row in self.values):
+    __slots__ = ("dim", "denominator", "entries", "_values")
+
+    def __init__(self, dim: int, values: Sequence[Sequence[int | str | Fraction]]):
+        if len(values) != dim or any(len(row) != dim for row in values):
             raise ValueError("values must be a dim x dim grid")
+        form = _form_from_rationals(
+            dim, [(i * dim + j, frac(x)) for i, row in enumerate(values) for j, x in enumerate(row)]
+        )
+        _set_fields(self, dim, form.denominator, form.entries)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("BilinearForm is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BilinearForm):
+            return NotImplemented
+        return (
+            self.dim == other.dim
+            and self.denominator == other.denominator
+            and self.entries == other.entries
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.denominator, tuple(self.entries.items())))
+
+    def __repr__(self) -> str:
+        return "BilinearForm(dim=%d, denominator=%d, entries=%r)" % (self.dim, self.denominator, self.entries)
+
+    @property
+    def values(self) -> tuple[Vector, ...]:
+        """The dense dim x dim grid of values, built on first use."""
+        try:
+            return self._values
+        except AttributeError:
+            n = self.dim
+            grid = [[_ZERO] * n for _ in range(n)]
+            for i, j, c in self.terms():
+                grid[i - 1][j - 1] = c
+            view = tuple(tuple(row) for row in grid)
+            object.__setattr__(self, "_values", view)
+            return view
 
     @staticmethod
     def zero(dim: int) -> "BilinearForm":
-        return BilinearForm(dim, tuple(zero_vector(dim) for _ in range(dim)))
+        return _form(dim, 1, {})
 
     @staticmethod
     def from_entries(dim: int, entries: Mapping[tuple[int, int], int | str | Fraction]) -> "BilinearForm":
         """Build from sparse 1-based entries {(i, j): c}."""
-        grid = [[Fraction(0)] * dim for _ in range(dim)]
+        flat = []
         for (i, j), c in entries.items():
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise ValueError("entry index (%d, %d) out of range for dim %d" % (i, j, dim))
-            grid[i - 1][j - 1] = frac(c)
-        return BilinearForm(dim, tuple(tuple(row) for row in grid))
+            flat.append(((i - 1) * dim + j - 1, frac(c)))
+        return _form_from_rationals(dim, flat)
 
     @staticmethod
     def singleton(dim: int, i: int, j: int, c: int | str | Fraction = 1) -> "BilinearForm":
@@ -71,71 +126,114 @@ class BilinearForm:
         return BilinearForm.from_entries(dim, {(i, j): c})
 
     @staticmethod
-    def from_flat(dim: int, flat: Sequence[Fraction]) -> "BilinearForm":
+    def from_flat(dim: int, flat: Sequence[int | str | Fraction]) -> "BilinearForm":
         if len(flat) != dim * dim:
             raise ValueError("flat vector of length %d for dim %d" % (len(flat), dim))
-        return BilinearForm(dim, tuple(tuple(flat[i * dim : (i + 1) * dim]) for i in range(dim)))
+        return _form_from_rationals(dim, [(p, frac(x)) for p, x in enumerate(flat)])
 
     def flatten(self) -> Vector:
         """Row-major length-dim^2 coordinate vector."""
         return tuple(x for row in self.values for x in row)
 
+    def terms(self) -> Iterator[tuple[int, int, Fraction]]:
+        """Nonzero values as 1-based (i, j, c) records, row-major order."""
+        n, den = self.dim, self.denominator
+        for p, c in self.entries.items():
+            i, j = divmod(p, n)
+            yield i + 1, j + 1, Fraction(c, den)
+
     def support(self) -> tuple[tuple[int, int], ...]:
         """1-based index pairs carrying a nonzero value, row-major order."""
-        return tuple(
-            (i + 1, j + 1)
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if self.values[i][j]
-        )
+        n = self.dim
+        return tuple((p // n + 1, p % n + 1) for p in self.entries)
 
     def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vectors must have length %d" % self.dim)
-        acc = Fraction(0)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.values[i]
-            for j, yj in enumerate(y):
-                if yj and row[j]:
-                    acc += xi * yj * row[j]
-        return acc
+        n = self.dim
+        if len(x) != n or len(y) != n:
+            raise ValueError("vectors must have length %d" % n)
+        xs, dx = _exact_row(sparse(x))
+        ys, dy = _exact_row(sparse(y))
+        acc = 0
+        for p, c in self.entries.items():
+            i, j = divmod(p, n)
+            if i in xs and j in ys:
+                acc += xs[i] * ys[j] * c
+        return Fraction(acc, dx * dy * self.denominator)
 
-    def scale(self, c: Fraction) -> "BilinearForm":
-        return BilinearForm(self.dim, tuple(tuple(c * x for x in row) for row in self.values))
+    def scale(self, c: int | str | Fraction) -> "BilinearForm":
+        c = frac(c)
+        num = c.numerator
+        scaled = {p: x * num for p, x in self.entries.items()}
+        return _form_over(self.dim, self.denominator * c.denominator, scaled)
 
     def add(self, other: "BilinearForm") -> "BilinearForm":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return BilinearForm(
-            self.dim,
-            tuple(
-                tuple(x + y for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.values, other.values)
-            ),
-        )
+        return combine((self, other), (1, 1))
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.values for x in row)
+        return not self.entries
 
 
-def combine(forms: Sequence[BilinearForm], coeffs: Sequence[Fraction]) -> BilinearForm:
-    """Linear combination sum coeffs[t] * forms[t]."""
+def _set_fields(form: BilinearForm, dim: int, denominator: int, entries: dict[int, int]) -> None:
+    object.__setattr__(form, "dim", dim)
+    object.__setattr__(form, "denominator", denominator)
+    object.__setattr__(form, "entries", entries)
+
+
+def _form(dim: int, denominator: int, entries: dict[int, int]) -> BilinearForm:
+    """The form with these fields, which must already be canonical."""
+    form = object.__new__(BilinearForm)
+    _set_fields(form, dim, denominator, entries)
+    return form
+
+
+def _form_from_rationals(dim: int, flat: Iterable[tuple[int, Fraction]]) -> BilinearForm:
+    """The form with rational value c at each flat index p of (p, c); each index at most once.
+
+    The one builder from rational values: zeros are dropped, the indices
+    sorted and the values put over their least common denominator.  The
+    constructor, `from_entries`, `from_flat` and the cocycle file reader
+    all call it.
+    """
+    nonzero = sorted((p, c) for p, c in flat if c)
+    den = common_denominator(c for _, c in nonzero)
+    return _form(dim, den, {p: c.numerator * (den // c.denominator) for p, c in nonzero})
+
+
+def _form_over(dim: int, denominator: int, acc: Mapping[int, int]) -> BilinearForm:
+    """The form acc / denominator, acc ints by flat index (zeros allowed), over its least denominator."""
+    entries = {p: x for p, x in sorted(acc.items()) if x}
+    g = math.gcd(denominator, *entries.values())
+    if g != 1:
+        denominator //= g
+        entries = {p: x // g for p, x in entries.items()}
+    return _form(dim, denominator, entries)
+
+
+def combine(forms: Sequence[BilinearForm], coeffs: Sequence[int | str | Fraction]) -> BilinearForm:
+    """Linear combination sum coeffs[t] * forms[t], accumulated as ints."""
     if not forms:
         raise ValueError("empty combination")
     if len(forms) != len(coeffs):
         raise ValueError("coefficient count mismatch")
     n = forms[0].dim
-    acc = [Fraction(0)] * (n * n)
+    den = 1
+    terms = []
     for form, c in zip(forms, coeffs):
+        c = frac(c)
         if c:
             if form.dim != n:
                 raise ValueError("dimension mismatch")
-            for p, x in enumerate(form.flatten()):
-                if x:
-                    acc[p] += c * x
-    return BilinearForm.from_flat(n, acc)
+            d = form.denominator * c.denominator
+            den = den // math.gcd(den, d) * d
+            terms.append((form.entries, c.numerator, d))
+    acc: dict[int, int] = {}
+    for entries, num, d in terms:
+        f = num * (den // d)
+        for p, x in entries.items():
+            acc[p] = acc.get(p, 0) + f * x
+    return _form_over(n, den, acc)
 
 
 ConditionRow = tuple[tuple[int, int, int], dict[int, int]]
@@ -190,14 +288,22 @@ def _check_form_dim(a: Algebra, form: BilinearForm) -> None:
 def _defects(
     a: Algebra, rows: Sequence[ConditionRow], form: BilinearForm
 ) -> Iterator[tuple[tuple[int, int, int], Fraction]]:
-    """(triple, defect) for each condition row with row . theta != 0, in row order."""
+    """(triple, defect) for each condition row with row . theta != 0, in row order.
+
+    Both sides are ints: the row over the table's denominator and the
+    form's entries over the form's, so a defect is one int dot product.
+    """
     _check_form_dim(a, form)
-    theta = form.flatten()
-    den = a.table.denominator
+    theta = form.entries
+    den = a.table.denominator * form.denominator
     for triple, row in rows:
-        defect = sum((c * theta[p] for p, c in row.items() if theta[p]), Fraction(0))
+        defect = 0
+        for p, c in row.items():
+            t = theta.get(p)
+            if t:
+                defect += c * t
         if defect:
-            yield triple, defect / den
+            yield triple, Fraction(defect, den)
 
 
 def cocycle_violations(a: Algebra, form: BilinearForm) -> list[tuple[int, int, int, Fraction]]:
@@ -270,8 +376,7 @@ def coboundary_generator(a: Algebra, m: int) -> BilinearForm:
     n = a.dim
     if not 0 <= m < n:
         raise IndexError("functional index %d out of range for dimension %d" % (m, n))
-    row = _coboundary_rows(a)[m]
-    return BilinearForm.from_flat(n, [Fraction(row.get(p, 0), a.table.denominator) for p in range(n * n)])
+    return _form_over(n, a.table.denominator, _coboundary_rows(a)[m])
 
 
 @lru_cache(maxsize=None)
@@ -311,10 +416,11 @@ class CohomologyBasis:
 def cohomology_basis(a: Algebra) -> CohomologyBasis:
     """Extend the BL^2 basis to ZL^2; the added cocycles represent HL^2.
 
-    The candidates are the canonical ZL^2 basis, taken in order; a
-    candidate is kept when it is independent of BL^2 plus the candidates
-    already kept, that is when its reduction against `classes` leaves a
-    form part, and is then added to `classes` with its tag.  The kept
+    The candidates are the canonical ZL^2 basis, taken in order; each is
+    reduced once against `classes`, tagged with its would-be class
+    column.  A candidate is kept when it is independent of BL^2 plus the
+    candidates already kept, that is when that residue has a form part,
+    and the residue is then inserted into `classes` as it is.  The kept
     forms are returned verbatim (not re-reduced), so each representative
     is an actual ZL^2 basis vector.
     """
@@ -326,10 +432,11 @@ def cohomology_basis(a: Algebra) -> CohomologyBasis:
     classes = Echelon(last + 1, ({**row, last - m: den} for m, row in enumerate(_coboundary_rows(a)) if row))
     reps: list[BilinearForm] = []
     for v in z.space.basis:
-        row = sparse(v)
-        if any(p < width for p in classes.reduce(row)):
-            classes.add({**row, width + len(reps): 1})
-            reps.append(BilinearForm.from_flat(n, v))
+        form = BilinearForm.from_flat(n, v)
+        residue, _ = classes.reduce_ints({**form.entries, width + len(reps): form.denominator})
+        if any(p < width for p in residue):
+            classes.insert(residue)
+            reps.append(form)
     return CohomologyBasis(z, b, tuple(reps), classes)
 
 
@@ -340,18 +447,31 @@ def cohomology_dim(a: Algebra) -> int:
 def _class_and_preimage(a: Algebra, form: BilinearForm) -> tuple[tuple[Fraction, ...], Vector] | None:
     """(c, psi) with form = sum_t c_t rep_t + delta(psi), or None for a non-cocycle.
 
-    One reduce against `CohomologyBasis.classes`; psi is the preimage
-    described there.
+    One reduce of the form's int entries against
+    `CohomologyBasis.classes`; psi is the preimage described there.
+    Fractions are built only for the tags returned.
     """
     _check_form_dim(a, form)
     basis = cohomology_basis(a)
     width = a.dim * a.dim
-    residue = basis.classes.reduce(sparse(form.flatten()))
+    residue, scale = basis.classes.reduce_ints(form.entries)
     if any(p < width for p in residue):
         return None
-    zero = Fraction(0)
-    tags = [-residue[p] if p in residue else zero for p in range(width, basis.classes.cols)]
+    den = -scale * form.denominator
+    tags = [Fraction(residue[p], den) if p in residue else _ZERO for p in range(width, basis.classes.cols)]
     return tuple(tags[: basis.dim]), tuple(reversed(tags[basis.dim :]))
+
+
+def _has_class(a: Algebra, form: BilinearForm) -> bool:
+    """Whether the form reduces into the span of `CohomologyBasis.classes`.
+
+    The span is ZL^2, so over a Leibniz base this is the cocycle test: one
+    int reduce, with no Fraction built.
+    """
+    _check_form_dim(a, form)
+    width = a.dim * a.dim
+    residue, _ = cohomology_basis(a).classes.reduce_ints(form.entries)
+    return all(p >= width for p in residue)
 
 
 def cohomology_class(a: Algebra, form: BilinearForm) -> tuple[Fraction, ...] | None:

@@ -16,7 +16,10 @@ integer table (`Algebra.table`): the least common denominator D of the
 structure constants and the nonzero products D*c as plain ints, keyed by
 basis pair.  Every constructor hands 1-based (i, j, k, c) records, the
 same records `Algebra.products()` yields and files carry, to the one
-function that makes that table, `_from_records`.  Brackets, the Leibniz
+function that makes that table, `_from_records`; only
+`extension.central_extension` puts its table together from the base's
+table and the cocycle's int entries, in the same canonical order.
+Brackets, the Leibniz
 check, the lower central series, the center, annihilator and squares
 systems and the right multiplication grids of the characteristic
 sequence run on machine ints and divide by D only where a rational

@@ -13,21 +13,22 @@ summand this splits off.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import (
     BilinearForm,
-    _condition_rows,
     _class_and_preimage,
+    _condition_rows,
     _defects,
+    _has_class,
     cocycle_space,
     cohomology_basis,
-    cohomology_class,
     combine,
 )
-from .core import Algebra, LeibnizError, Subspace, _from_records, center, check_leibniz
+from .core import Algebra, IntegerTable, LeibnizError, Subspace, center, check_leibniz
 from .linalg import Matrix, Vector, inverse, rref, unit_vector
 
 
@@ -99,24 +100,34 @@ def central_extension(spec: ExtensionSpec) -> Algebra:
     are central.  The result is Leibniz exactly because the components are
     cocycles, so it is returned pre-checked.
 
-    Each component is validated by a membership test: over a Leibniz base
-    a form is a cocycle exactly when it has a cohomology class.  A
-    rejected component is handed to `validate_cocycle`, whose error names
-    the first violating triple in (i, j, k) sweep order.
+    Each component is validated by a membership test on its int entries:
+    over a Leibniz base a form is a cocycle exactly when it reduces into
+    the span of the class echelon.  A rejected component is handed to
+    `validate_cocycle`, whose error names the first violating triple in
+    (i, j, k) sweep order.
+
+    The integer table is put together from the base's table and the
+    forms' entries over the least common multiple of their denominators,
+    the least common denominator of all the constants, in the order
+    `core._from_records` would give it.
     """
     base = spec.base
     _require_leibniz(base)
-    if any(cohomology_class(base, form) is None for form in spec.forms):
+    if not all(_has_class(base, form) for form in spec.forms):
         validate_cocycle(spec)  # raises, naming the first violating triple
     n, k = base.dim, spec.k
-    records = list(base.products())
+    table = base.table
+    den = math.lcm(table.denominator, *(form.denominator for form in spec.forms))
+    f = den // table.denominator
+    products = {key: [(m, c * f) for m, c in terms] for key, terms in table.products.items()}
     for t, form in enumerate(spec.forms):
-        records.extend(
-            (i + 1, j + 1, n + t + 1, c) for i, row in enumerate(form.values) for j, c in enumerate(row)
-        )
+        f = den // form.denominator
+        for p, c in form.entries.items():
+            products.setdefault(divmod(p, n), []).append((n + t, c * f))
     base_labels = tuple(base.label(i) for i in range(n))
     ext_labels = base_labels + tuple("x%d" % (t + 1) for t in range(k))
-    return _from_records(n + k, records, ext_labels, checked=True)
+    ext = IntegerTable(den, {key: tuple(products[key]) for key in sorted(products)})
+    return Algebra(n + k, ext, ext_labels, checked=True)
 
 
 def adjoined_subspace(spec: ExtensionSpec) -> Subspace:

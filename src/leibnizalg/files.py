@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import core
-from .cohomology import BilinearForm
+from .cohomology import BilinearForm, _form_from_rationals
 from .core import Algebra, algebra_from_products
 from .linalg import Matrix, frac
 
@@ -126,23 +126,25 @@ def algebra_from_dict(data: dict) -> tuple[Algebra, dict]:
 
 
 def forms_to_dict(dim: int, forms: tuple[BilinearForm, ...]) -> dict:
-    entries = []
-    for t, form in enumerate(forms, start=1):
-        for i in range(dim):
-            for j in range(dim):
-                c = form.values[i][j]
-                if c:
-                    entries.append({"t": t, "i": i + 1, "j": j + 1, "c": str(c)})
-    entries.sort(key=lambda e: (e["t"], e["i"], e["j"]))
+    """The cocycle document; each form's terms come in (i, j) order, so records sort by (t, i, j)."""
+    entries = [
+        {"t": t, "i": i, "j": j, "c": str(c)}
+        for t, form in enumerate(forms, start=1)
+        for i, j, c in form.terms()
+    ]
     return {"dim": dim, "k": len(forms), "entries": entries}
 
 
 def forms_from_dict(data: dict) -> tuple[int, tuple[BilinearForm, ...]]:
-    """Parse a cocycle document; dim and k above `core.MAX_DIM` are refused."""
+    """Parse a cocycle document; dim and k above `core.MAX_DIM` are refused.
+
+    Each component is built from its sparse entries alone, so no dense
+    k x dim x dim grid is allocated.
+    """
     dim = _size(data.get("dim"), "dim")
     k = _size(data.get("k", 1), "k")
     records = _expect_list(data.get("entries", []), "entries")
-    grids = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(k)]
+    components: list[list[tuple[int, Fraction]]] = [[] for _ in range(k)]
     seen: set[tuple[int, int, int]] = set()
     for pos, record in enumerate(records):
         rec = _expect_dict(record, "entries[%d]" % pos)
@@ -160,9 +162,8 @@ def forms_from_dict(data: dict) -> tuple[int, tuple[BilinearForm, ...]]:
         if (t, i, j) in seen:
             raise FileFormatError("duplicate cocycle entry (%d, %d, %d)" % (t, i, j))
         seen.add((t, i, j))
-        grids[t - 1][i - 1][j - 1] = c
-    forms = tuple(BilinearForm(dim, tuple(tuple(row) for row in grid)) for grid in grids)
-    return dim, forms
+        components[t - 1].append(((i - 1) * dim + j - 1, c))
+    return dim, tuple(_form_from_rationals(dim, flat) for flat in components)
 
 
 def matrix_to_dict(m: Matrix) -> dict:

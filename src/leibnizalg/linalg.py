@@ -215,9 +215,11 @@ class Echelon:
     incoming row of ints or Fractions has its denominators cleared once;
     `add` reduces it against the held rows, makes a nonzero residue
     primitive with a positive leading entry, and eliminates that new pivot
-    column from the earlier rows.  Elimination runs on ints only; `rows`,
-    `dense_rows` and `kernel` divide by the pivot, and `reduce` by the
-    scale it tracked, where a Fraction is handed back.
+    column from the earlier rows; it is `reduce_ints`, which returns the
+    int residue with the factor it was scaled by, followed by `insert`.
+    Elimination runs on ints only; `rows`, `dense_rows` and `kernel`
+    divide by the pivot, and `reduce` by the scale it tracked, where a
+    Fraction is handed back.
 
     The rows given to the constructor are added lightest first, as in
     structured Gaussian elimination: sparse pivot rows cause less fill-in.
@@ -244,16 +246,35 @@ class Echelon:
             scale *= _cancel(row, p, held[p])
         return scale
 
+    def reduce_ints(self, row: Mapping[int, int]) -> tuple[dict[int, int], int]:
+        """Residue of a sparse int row against the held rows, and its scale s.
+
+        The residue is s times (row minus a combination of the held rows),
+        so the exact residue is residue / s; it is empty exactly when the
+        row lies in the row space.  The input is not modified.
+        """
+        residue = dict(row)
+        return residue, self._eliminate(residue)
+
     def reduce(self, row: Mapping[int, int | Fraction]) -> dict[int, Fraction]:
         """Residue of a sparse row after elimination against the reduced rows."""
         out, den = _exact_row(row)
-        den *= self._eliminate(out)
-        return {j: Fraction(x, den) for j, x in out.items()}
+        residue, scale = self.reduce_ints(out)
+        den *= scale
+        return {j: Fraction(x, den) for j, x in residue.items()}
 
     def add(self, row: Mapping[int, int | Fraction]) -> bool:
         """Extend the row space by `row`; False when it was already inside."""
         residue, _ = _exact_row(row)
         self._eliminate(residue)
+        return self.insert(residue)
+
+    def insert(self, residue: dict[int, int]) -> bool:
+        """Make a residue of `reduce_ints` a new pivot row; False when it is empty.
+
+        The residue must be reduced against the held rows as they are now;
+        the dict is taken over, not copied.
+        """
         if not residue:
             return False
         lead = min(residue)

@@ -298,9 +298,8 @@ def test_combine_refuses_what_the_oracle_refused():
 
 
 def test_class_of_form_holding_a_float_is_refused():
-    a = catalog.make("F1", 5)
+    # The form is refused when it is built, before it can meet the echelon.
     values = [[_ZERO] * 5 for _ in range(5)]
     values[0][4] = 0.5
-    form = BilinearForm(5, tuple(tuple(row) for row in values))
-    with pytest.raises(TypeError, match="refusing to eliminate float"):
-        cohomology_class(a, form)
+    with pytest.raises(TypeError, match="refusing to coerce float"):
+        BilinearForm(5, tuple(tuple(row) for row in values))
