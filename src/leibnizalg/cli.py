@@ -29,7 +29,13 @@ from .files import (
     read_matrix_file,
     write_algebra_file,
 )
-from .isomorphism import fingerprint, search_isomorphism, verify_isomorphism
+from .isomorphism import (
+    SEARCH_BUDGET,
+    SEARCH_SEED,
+    fingerprint,
+    search_isomorphism,
+    verify_isomorphism,
+)
 from .linalg import frac
 
 
@@ -410,8 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = iso_sub.add_parser("search", help="look for an isomorphism or a separating invariant")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--budget", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=1729)
+    p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
+    p.add_argument("--seed", type=int, default=SEARCH_SEED)
     _add_format(p)
     p.set_defaults(handler=_cmd_iso_search)
 

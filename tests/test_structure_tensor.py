@@ -21,6 +21,11 @@ drawn as ints.
 `oracle_transform_algebra` are the constructors that assembled that
 grid.  They are the references for `_from_records`, which now makes
 every table from (i, j, k, c) records, with `sc` derived from the table.
+
+The search walks a memoised candidate stream, one held prefix per
+(dimension, budget, seed); the search tests compare it with the `Matrix`
+search on warm and cold memos, past a patched pair cap and over more
+keys than the memo keeps.
 """
 
 import itertools
@@ -29,10 +34,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibnizalg import catalog, files
+from leibnizalg import catalog, files, isomorphism
 from leibnizalg.cohomology import cohomology_class
 from leibnizalg.core import (
     CHARSEQ_RANDOM_TRIALS,
@@ -77,6 +83,7 @@ from leibnizalg.isomorphism import (
     IsoCheck,
     SearchResult,
     _columns_matrix,
+    _held_stream,
     _search_candidates,
     compare_fingerprints,
     fingerprint,
@@ -682,24 +689,98 @@ def test_candidate_stream_matches_matrix_stream(n, budget, seed):
         assert _columns_matrix(got) == expected
 
 
+def flag_breaking_change(draw, dim):
+    """A lower triangular times a unit upper triangular matrix, entries +-1.
+
+    A triangular basis keeps the flag span(e_j, ..., e_n); the product mixes it.
+    """
+    sign = st.sampled_from((_ONE, -_ONE))
+    lower = [[_ZERO] * dim for _ in range(dim)]
+    upper = [[_ZERO] * dim for _ in range(dim)]
+    for r in range(dim):
+        for c in range(r + 1):
+            lower[r][c] = draw(sign)
+            upper[c][r] = draw(sign) if c < r else _ONE
+    return Matrix(lower, cols=dim) @ Matrix(upper, cols=dim)
+
+
 @st.composite
 def search_pairs(draw):
-    """A member in a permuted basis (findable) or a dense one (usually not)."""
-    family, dim, params = draw(st.sampled_from([m for m in MEMBERS if 3 <= m[1] <= 6]))
+    """A member in a permuted basis (findable), a dense or a flag-breaking one (usually not)."""
+    family, dim, params = draw(st.sampled_from([m for m in MEMBERS if 3 <= m[1] <= 7]))
     src = catalog.make(family, dim, **params)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("permuted", "dense-integer", "dense-rational", "flag-breaking")))
+    if kind == "permuted":
         perm = draw(st.permutations(range(dim)))
         q = Matrix([[_ONE if perm[c] == r else _ZERO for c in range(dim)] for r in range(dim)], cols=dim)
+    elif kind == "flag-breaking":
+        q = flag_breaking_change(draw, dim)
     else:
-        q = dense_change(draw, dim, draw(st.sampled_from(("dense-integer", "dense-rational"))))
+        q = dense_change(draw, dim, kind)
     return transform_algebra(src, q), src
 
 
+@pytest.fixture
+def cold_streams():
+    """An empty candidate memo before the test and after it."""
+    _held_stream.cache_clear()
+    yield
+    _held_stream.cache_clear()
+
+
+# Budgets up to 400 pass the permutation prefix (at most budget // 2 +
+# 2n + 2 candidates) into the seeded random tail at every dimension 3..7.
+# A few favoured budgets and seeds make keys repeat, and every search runs
+# twice in the drawn order, so later searches walk a warm memo that other
+# keys' searches have extended in between.
+search_budgets = st.one_of(st.sampled_from((40, 260, 400)), st.integers(1, 400))
+search_seeds = st.one_of(st.sampled_from((3, SEARCH_SEED)), st.integers(0, 10**6))
+
+
 @settings(max_examples=25, deadline=None)
-@given(search_pairs(), st.integers(1, 150), st.integers(0, 10**6))
-def test_search_matches_matrix_stream(pair, budget, seed):
-    a, src = pair
-    assert search_isomorphism(a, src, budget, seed) == oracle_search(a, src, budget, seed)
+@given(st.lists(st.tuples(search_pairs(), search_budgets, search_seeds), min_size=1, max_size=4))
+def test_search_matches_matrix_stream(searches):
+    expected = [oracle_search(a, src, budget, seed) for (a, src), budget, seed in searches]
+    for _ in range(2):
+        for ((a, src), budget, seed), want in zip(searches, expected):
+            assert search_isomorphism(a, src, budget, seed) == want
+    for ((a, _), budget, seed), want in zip(searches, expected):
+        held = _held_stream(a.dim, budget, seed).held
+        assert len(held) >= want.trials
+        assert held == list(itertools.islice(_search_candidates(a.dim, budget, seed), len(held)))
+
+
+def test_search_past_the_pair_cap_matches_matrix_stream(monkeypatch, cold_streams):
+    monkeypatch.setattr(isomorphism, "_STREAM_HELD_PAIRS", 60)
+    src = catalog.make("Qstar", 7)
+    lower = Matrix([[_ONE if c <= r else _ZERO for c in range(7)] for r in range(7)], cols=7)
+    # Found by the 26th candidate, past the 8 permutations that fit the cap.
+    swap = Matrix([[_ONE if (0, 1, 3, 2, 4, 5, 6)[c] == r else _ZERO for c in range(7)] for r in range(7)], cols=7)
+    for q in (lower, swap, lower, swap):
+        a = transform_algebra(src, q)
+        result = search_isomorphism(a, src, 300, 11)
+        assert result == oracle_search(a, src, 300, 11)
+        stream = _held_stream(7, 300, 11)
+        assert stream.pairs == sum(len(col) for candidate in stream.held for col in candidate) <= 60
+        assert result.trials > len(stream.held)
+        assert stream.held == list(itertools.islice(_search_candidates(7, 300, 11), len(stream.held)))
+
+
+def test_memo_keeps_at_most_maxsize_keys(cold_streams):
+    a = catalog.make("F1", 5)
+    info = _held_stream.cache_info()
+    assert info.maxsize is not None
+    for seed in range(info.maxsize + 3):
+        assert search_isomorphism(a, a, 3, seed).trials == 1
+        assert _held_stream.cache_info().currsize <= info.maxsize
+    assert _held_stream.cache_info().currsize == info.maxsize
+
+
+def test_search_holds_only_the_candidates_it_reaches(cold_streams):
+    a = catalog.make("Nstar", 6)
+    result = search_isomorphism(a, a)
+    assert (result.status, result.trials) == ("found", 1)
+    assert len(_held_stream(a.dim, SEARCH_BUDGET, SEARCH_SEED).held) == 1
 
 
 @settings(max_examples=60, deadline=None)
