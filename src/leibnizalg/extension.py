@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .cohomology import (
     BilinearForm,
-    _class_and_preimage,
     _condition_rows,
     _defects,
     _has_class,
@@ -29,7 +28,9 @@ from .cohomology import (
     combine,
 )
 from .core import Algebra, IntegerTable, LeibnizError, Subspace, center, check_leibniz
-from .linalg import Matrix, Vector, inverse, rref, unit_vector
+from .linalg import Echelon, Matrix, Vector, unit_vector
+
+_ZERO = Fraction(0)
 
 
 class InvalidCocycleError(ValueError):
@@ -176,69 +177,70 @@ class SplitReport:
 def reduce_extension(spec: ExtensionSpec) -> SplitReport:
     """Split the cocycle into independent classes plus absorbed coboundaries.
 
-    Row-reducing the k x dim-H matrix of cohomology classes (augmented by
-    the identity to record the row operations) yields an invertible U with
-    the last k - d transformed components of zero class; those components
-    are coboundaries phi o bracket and are absorbed by shifting the
-    section e_i -> e_i + sum_s phi_s(e_i) c_s over the trailing adapted
-    central vectors c_s.
+    Row-reducing the k x (dim H + k) matrix of cohomology classes augmented
+    by the identity yields, in the identity block, an invertible U that
+    records the row operations, with the last k - d transformed components
+    of zero class; those components are coboundaries phi o bracket and are
+    absorbed by shifting the section e_i -> e_i + sum_s phi_s(e_i) c_s over
+    the trailing adapted central vectors c_s.
 
-    One reduce per component gives its class and a coboundary preimage
-    psi_t of the rest (`cohomology._class_and_preimage`), so the shift of
-    trailing component s is sum_t U[s][t] psi_t.  Over a Leibniz base a
-    form lacks a class exactly when it is not a cocycle, so the class
-    computation is the only validation needed.
+    One int reduce per component against `CohomologyBasis.classes` gives
+    its class and a coboundary preimage psi_t of the rest, so component t
+    becomes the int row [class | e_t | psi_t] of one fraction-free
+    `Echelon`.  The psi block holds no pivot, so reduced row s carries
+    U[s] in its unit block and sum_t U[s][t] psi_t, the shift of trailing
+    component s, in its psi block.  W = U^-1 comes from a k x 2k `Echelon`
+    on [U | identity].  Elimination runs on ints; Fractions are built only
+    for the report's fields.  Over a Leibniz base a form lacks a class
+    exactly when it is not a cocycle, so the class computation is the
+    only validation needed.
     """
     base = spec.base
     _require_leibniz(base)
     n, k = base.dim, spec.k
-    h = cohomology_basis(base).dim
+    basis = cohomology_basis(base)
+    h = basis.dim
     if k == 0:
-        empty = Matrix.zeros(0, 0)
-        return SplitReport(0, 0, empty, (), (), Matrix.identity(n))
-    found = []
-    for form in spec.forms:
-        pair = _class_and_preimage(base, form)
-        if pair is None:
+        return SplitReport(0, 0, Matrix.zeros(0, 0), (), (), Matrix.identity(n))
+    width, psi = n * n, h + k
+    # `classes` holds the preimage tag of functional m at column cols - 1 - m.
+    last = psi + basis.classes.cols - 1
+    e = Echelon(psi + n)
+    for t, form in enumerate(spec.forms):
+        residue, scale = basis.classes.reduce_ints(form.entries)
+        if any(p < width for p in residue):
             validate_cocycle(spec)  # raises, naming the first violating triple
-        assert pair is not None
-        found.append(pair)
-    classes, preimages = zip(*found)
-    augmented = Matrix(
-        [tuple(row) + unit_vector(k, t) for t, row in enumerate(classes)], cols=h + k
-    )
-    reduced_rows, pivots = rref(augmented)
+        row = {p - width if p < width + h else last - p: x for p, x in residue.items()}
+        row[h + t] = -scale * form.denominator  # the residue is -scale * D * [class | psi]
+        e.add(row)
+    pivots = e.pivots
+    held = [e.held[p] for p in pivots]
+    q = [row[p] for p, row in zip(pivots, held)]
     d = sum(1 for p in pivots if p < h)
-    u = Matrix([row[h:] for row in reduced_rows.data], cols=k)
-    w = inverse(u)
-    assert w is not None  # row operations are invertible
-    shifts = [
-        tuple(sum((c * psi[i] for c, psi in zip(u.row(s), preimages) if c), Fraction(0)) for i in range(n))
-        for s in range(d, k)
-    ]
-    columns: list[Vector] = []
-    for i in range(n):
-        col = [Fraction(0)] * (n + k)
-        col[i] = Fraction(1)
-        for s in range(d, k):
-            f = shifts[s - d][i]
-            if f:
-                for t in range(k):
-                    col[n + t] += f * w.data[t][s]
-        columns.append(tuple(col))
-    for s in range(k):
-        col = [Fraction(0)] * (n + k)
-        for t in range(k):
-            col[n + t] = w.data[t][s]
-        columns.append(tuple(col))
+    # Row s of [U | I] times q[s], the pivot entry of reduced row s.
+    u = ({j - h: x for j, x in row.items() if h <= j < psi} | {k + s: q[s]} for s, row in enumerate(held))
+    w = [row for _, row in sorted(Echelon(2 * k, u).held.items())]
+    v_basis = tuple(_fractions(row, row[t], range(k, 2 * k)) for t, row in enumerate(w))
+    lcm = math.lcm(*q[d:])
+    # Row n + t of the change of basis is sum_{s >= d} W[t][s] shift_s on the base columns, then W[t].
+    grid = [unit_vector(n + k, i) for i in range(n)]
+    for t, row in enumerate(w):
+        f = [(held[s], lcm // q[s] * row[k + s]) for s in range(d, k) if k + s in row]
+        shear = (sum(c * r.get(j, 0) for r, c in f) for j in range(psi, psi + n))
+        grid.append(tuple(Fraction(x, lcm * row[t]) if x else _ZERO for x in shear) + v_basis[t])
     return SplitReport(
         class_rank=d,
         abelian_dim=k - d,
-        v_basis=w,
-        reduced=tuple(combine(spec.forms, u.row(s)) for s in range(d)),
-        section_shift=tuple(shifts),
-        change_of_basis=Matrix.from_columns(columns),
+        v_basis=Matrix(v_basis, cols=k),
+        reduced=tuple(combine(spec.forms, _fractions(held[s], q[s], range(h, psi))) for s in range(d)),
+        section_shift=tuple(_fractions(held[s], q[s], range(psi, psi + n)) for s in range(d, k)),
+        change_of_basis=Matrix(grid, cols=n + k),
     )
+
+
+def _fractions(row: dict[int, int], q: int, cols: range) -> Vector:
+    """The entries of row / q in the given columns, as a dense vector."""
+    return tuple(Fraction(row[j], q) if j in row else _ZERO for j in cols)
 
 
 def reduced_spec(spec: ExtensionSpec, report: SplitReport) -> ExtensionSpec:

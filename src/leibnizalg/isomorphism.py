@@ -14,7 +14,7 @@ integer structure constants of both algebras (`Algebra.table`).  The
 search walks its candidates in that integer form, and every candidate
 that passes is built as a `Matrix` and re-verified by
 `verify_isomorphism` before it is returned.  A witness is rejected as
-singular by the fraction-free (Bareiss) rank of its integer grid.
+singular by the `Echelon` rank of those sparse integer columns.
 
 The candidate stream depends only on (dimension, budget, seed), never on
 the algebras, so it is memoised: searches with the same key walk one
@@ -45,7 +45,7 @@ from .core import (
     series_dims,
     squares_subspace,
 )
-from .linalg import Matrix, common_denominator, integer_grid, integer_rank, inverse
+from .linalg import Echelon, Matrix, common_denominator, inverse
 
 SEARCH_SEED = 1729
 SEARCH_BUDGET = 10000
@@ -216,9 +216,10 @@ def verify_isomorphism(a: Algebra, b: Algebra, p: Matrix) -> IsoCheck:
         raise ValueError("dimension mismatch: %d vs %d" % (a.dim, b.dim))
     if p.rows != a.dim or p.cols != a.dim:
         raise ValueError("change of basis must be %d x %d" % (a.dim, a.dim))
-    if integer_rank(integer_grid(p), p.cols) < p.cols:
+    cols, d = _integer_columns(p)
+    if len(Echelon(p.cols, map(dict, cols)).held) < p.cols:
         return IsoCheck(False, None, "matrix is singular")
-    pair = _brackets_match(a, b, *_integer_columns(p))
+    pair = _brackets_match(a, b, cols, d)
     if pair is not None:
         return IsoCheck(False, pair, "bracket images differ at (e%d, e%d)" % pair)
     return IsoCheck(True)

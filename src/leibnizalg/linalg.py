@@ -15,20 +15,21 @@ earlier pivot rows; `Fraction`s appear only at the boundary, where a
 reduced row, a kernel vector or a residue is handed back.  The cocycle
 systems this package eliminates have n^3 integer rows over n^2 unknowns with
 only a few nonzeros per row, which is where the sparse rows pay.
-`rref`, `rank`, `kernel_basis`, `inverse`, `core.Subspace.span` and
-the class echelon of `cohomology`, which also yields coboundary
-preimages, all go through it.  Rank sequences of powers of a
-matrix (Jordan types) and singularity tests use Bareiss elimination
-(`integer_rank`) on dense int grids instead, which is faster on those
-small dense grids.  `core` builds those grids as ints straight from an
-algebra's integer structure constants; `integer_grid` clears the
-denominators of a `Matrix` for the same rank sequence.
+`rank`, `kernel_basis`, `inverse`, `core.Subspace.span`, the class
+echelon of `cohomology`, which also yields coboundary preimages, the
+class algebra of `extension.reduce_extension` and the singularity test
+of `isomorphism.verify_isomorphism` all go through it.  Bareiss
+elimination (`integer_rank`) on dense int grids serves only the rank
+sequences of powers of a matrix (Jordan types), where it is faster on
+those small dense grids.  `core` builds those grids as ints straight
+from an algebra's integer structure constants; `integer_grid` clears
+the denominators of a `Matrix` for the same rank sequence.
 
 Determinism conventions, relied on throughout the package:
 
-* The reduced row echelon form of a row space is unique, so `rref` and
-  the pivot list are canonical whatever the order in which rows were
-  added or eliminated.
+* The reduced row echelon form of a row space is unique, so the rows
+  and pivots of an `Echelon` are canonical whatever the order in which
+  rows were added or eliminated.
 * `kernel_basis` enumerates free columns in increasing order and sets the
   free coordinate of each basis vector to 1.
 
@@ -347,17 +348,6 @@ def sparse(v: Iterable[int | Fraction]) -> dict[int, int | Fraction]:
 
 def _echelon(m: Matrix) -> Echelon:
     return Echelon(m.cols, map(sparse, m.data))
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot columns.
-
-    The zero rows follow the pivot rows, so the shape is that of m.  The
-    result is the unique reduced form of the row space.
-    """
-    e = _echelon(m)
-    zeros = (zero_vector(m.cols),) * (m.rows - len(e.held))
-    return Matrix(e.dense_rows() + zeros, cols=m.cols), e.pivots
 
 
 def rank(m: Matrix) -> int:

@@ -14,16 +14,48 @@ earlier `combine`, which accumulated a dense flat vector;
 evaluated the condition rows against `flatten()`.  They are kept
 verbatim apart from their names, as references for the form stored as
 sparse ints over one denominator.
+
+`rref` is the earlier `linalg.rref`, moved here verbatim once the
+package had no caller left for it; the kernel tests check `Echelon`
+against it.  `fraction_reduce_extension` is the earlier
+`reduce_extension`, which did its class algebra on dense `Fraction`
+matrices (`rref` of [classes | identity], `inverse`, the shifts as
+Fraction sums), and `bareiss_verify_isomorphism` the earlier
+`verify_isomorphism`, which decided singularity by the Bareiss rank of
+the dense integer grid.  They are kept verbatim apart from their names,
+as references for the int echelons that replaced them.
+
+`flag_breaking_change` draws a basis change that is a lower times a
+unit upper triangular matrix.  A triangular basis keeps the flag
+span(e_j, ..., e_n), so code that depends on column order would still
+see the catalog's order; the product mixes it.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from leibnizalg.cohomology import _condition_rows
-from leibnizalg.linalg import Echelon, Matrix, Vector, frac, sparse, zero_vector
+from hypothesis import strategies as st
+
+from leibnizalg.cohomology import _class_and_preimage, _condition_rows, cohomology_basis, combine
+from leibnizalg.extension import SplitReport, _require_leibniz, validate_cocycle
+from leibnizalg.isomorphism import IsoCheck, _brackets_match, _integer_columns
+from leibnizalg.linalg import (
+    Echelon,
+    Matrix,
+    Vector,
+    _echelon,
+    frac,
+    integer_grid,
+    integer_rank,
+    inverse,
+    sparse,
+    unit_vector,
+    zero_vector,
+)
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def solve(m: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
@@ -156,3 +188,118 @@ def dense_cocycle_violations(a, form: DenseBilinearForm) -> list[tuple[int, int,
         if defect:
             out.append((i, j, k, defect / den))
     return out
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and the tuple of pivot columns.
+
+    The zero rows follow the pivot rows, so the shape is that of m.  The
+    result is the unique reduced form of the row space.
+    """
+    e = _echelon(m)
+    zeros = (zero_vector(m.cols),) * (m.rows - len(e.held))
+    return Matrix(e.dense_rows() + zeros, cols=m.cols), e.pivots
+
+
+def fraction_reduce_extension(spec) -> SplitReport:
+    """Split the cocycle into independent classes plus absorbed coboundaries.
+
+    Row-reducing the k x dim-H matrix of cohomology classes (augmented by
+    the identity to record the row operations) yields an invertible U with
+    the last k - d transformed components of zero class; those components
+    are coboundaries phi o bracket and are absorbed by shifting the
+    section e_i -> e_i + sum_s phi_s(e_i) c_s over the trailing adapted
+    central vectors c_s.
+
+    One reduce per component gives its class and a coboundary preimage
+    psi_t of the rest (`cohomology._class_and_preimage`), so the shift of
+    trailing component s is sum_t U[s][t] psi_t.  Over a Leibniz base a
+    form lacks a class exactly when it is not a cocycle, so the class
+    computation is the only validation needed.
+    """
+    base = spec.base
+    _require_leibniz(base)
+    n, k = base.dim, spec.k
+    h = cohomology_basis(base).dim
+    if k == 0:
+        empty = Matrix.zeros(0, 0)
+        return SplitReport(0, 0, empty, (), (), Matrix.identity(n))
+    found = []
+    for form in spec.forms:
+        pair = _class_and_preimage(base, form)
+        if pair is None:
+            validate_cocycle(spec)  # raises, naming the first violating triple
+        assert pair is not None
+        found.append(pair)
+    classes, preimages = zip(*found)
+    augmented = Matrix(
+        [tuple(row) + unit_vector(k, t) for t, row in enumerate(classes)], cols=h + k
+    )
+    reduced_rows, pivots = rref(augmented)
+    d = sum(1 for p in pivots if p < h)
+    u = Matrix([row[h:] for row in reduced_rows.data], cols=k)
+    w = inverse(u)
+    assert w is not None  # row operations are invertible
+    shifts = [
+        tuple(sum((c * psi[i] for c, psi in zip(u.row(s), preimages) if c), Fraction(0)) for i in range(n))
+        for s in range(d, k)
+    ]
+    columns: list[Vector] = []
+    for i in range(n):
+        col = [Fraction(0)] * (n + k)
+        col[i] = Fraction(1)
+        for s in range(d, k):
+            f = shifts[s - d][i]
+            if f:
+                for t in range(k):
+                    col[n + t] += f * w.data[t][s]
+        columns.append(tuple(col))
+    for s in range(k):
+        col = [Fraction(0)] * (n + k)
+        for t in range(k):
+            col[n + t] = w.data[t][s]
+        columns.append(tuple(col))
+    return SplitReport(
+        class_rank=d,
+        abelian_dim=k - d,
+        v_basis=w,
+        reduced=tuple(combine(spec.forms, u.row(s)) for s in range(d)),
+        section_shift=tuple(shifts),
+        change_of_basis=Matrix.from_columns(columns),
+    )
+
+
+def bareiss_verify_isomorphism(a, b, p: Matrix) -> IsoCheck:
+    """Check that p maps a onto b: p([x, y]_a) = [p x, p y]_b, p invertible.
+
+    Columns of p are the images of a's basis vectors in b's coordinates.
+    """
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch: %d vs %d" % (a.dim, b.dim))
+    if p.rows != a.dim or p.cols != a.dim:
+        raise ValueError("change of basis must be %d x %d" % (a.dim, a.dim))
+    if integer_rank(integer_grid(p), p.cols) < p.cols:
+        return IsoCheck(False, None, "matrix is singular")
+    pair = _brackets_match(a, b, *_integer_columns(p))
+    if pair is not None:
+        return IsoCheck(False, pair, "bracket images differ at (e%d, e%d)" % pair)
+    return IsoCheck(True)
+
+
+def flag_breaking_change(draw, dim: int, rational: bool = False) -> Matrix:
+    """A lower triangular times a unit upper triangular matrix, entries +-1.
+
+    With `rational`, each column is then scaled by one of 1/2, -2/3, 3/2.
+    """
+    sign = st.sampled_from((_ONE, -_ONE))
+    lower = [[_ZERO] * dim for _ in range(dim)]
+    upper = [[_ZERO] * dim for _ in range(dim)]
+    for r in range(dim):
+        for c in range(r + 1):
+            lower[r][c] = draw(sign)
+            upper[c][r] = draw(sign) if c < r else _ONE
+    q = Matrix(lower, cols=dim) @ Matrix(upper, cols=dim)
+    if not rational:
+        return q
+    scale = [draw(st.sampled_from((Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)))) for _ in range(dim)]
+    return Matrix([[x * scale[c] for c, x in enumerate(row)] for row in q.data], cols=dim)

@@ -41,8 +41,8 @@ from leibnizalg.extension import (
     validate_cocycle,
 )
 from leibnizalg.isomorphism import transform_algebra
-from leibnizalg.linalg import Matrix, Vector, inverse, rref, unit_vector
-from oracles import solve
+from leibnizalg.linalg import Matrix, Vector, inverse, unit_vector
+from oracles import flag_breaking_change, rref, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -168,19 +168,7 @@ def members(draw):
     kind = draw(st.sampled_from(("catalog", "dense-integer", "dense-rational")))
     if kind == "catalog" or dim == 0:
         return a
-    sign = st.sampled_from((_ONE, -_ONE))
-    lower = [[_ZERO] * dim for _ in range(dim)]
-    upper = [[_ZERO] * dim for _ in range(dim)]
-    for r in range(dim):
-        for c in range(r + 1):
-            lower[r][c] = draw(sign)
-            upper[c][r] = draw(sign) if c < r else _ONE
-    # A triangular basis keeps the flag e_j, ..., e_n; the product mixes it.
-    q = (Matrix(lower, cols=dim) @ Matrix(upper, cols=dim)).data
-    if kind == "dense-rational":
-        scale = [draw(st.sampled_from((Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)))) for _ in range(dim)]
-        q = [[x * scale[c] for c, x in enumerate(row)] for row in q]
-    return transform_algebra(a, Matrix(q, cols=dim))
+    return transform_algebra(a, flag_breaking_change(draw, dim, kind == "dense-rational"))
 
 
 def random_combination(draw, forms, dim):

@@ -1,7 +1,7 @@
 """Exact rational linear algebra: frozen oracles plus randomized laws.
 
-`solve` is the earlier `linalg.solve`, now a test oracle in `oracles`;
-its frozen cases stay here.
+`solve` and `rref` are the earlier `linalg.solve` and `linalg.rref`, now
+test oracles in `oracles`; their frozen cases stay here.
 """
 
 from fractions import Fraction
@@ -19,10 +19,9 @@ from leibnizalg.linalg import (
     inverse,
     kernel_basis,
     rank,
-    rref,
     vec,
 )
-from oracles import solve
+from oracles import rref, solve
 
 
 def test_frac_accepts_ints_strings_fractions():

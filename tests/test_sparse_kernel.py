@@ -10,10 +10,12 @@ earlier `cohomology_basis` loop, which re-spanned BL^2 plus the kept
 candidates for every candidate, and `oracle_jordan_ranks` the earlier
 Fraction branch of `jordan_type_nilpotent`.  They live here only, as
 references for the single elimination loop in `linalg.Echelon` and for
-the fraction-free rank sequence.  `solve`, the earlier sparse
-`linalg.solve` kept in `oracles`, is checked against the dense one,
-since the coboundary preimages of the class echelon are checked against
-it.
+the fraction-free rank sequence.  `solve` and `rref`, the earlier
+sparse `linalg.solve` and `linalg.rref` kept in `oracles`, are checked
+against the dense ones, since the coboundary preimages of the class
+echelon and other tests are checked against them.  Members are drawn in
+their catalog basis or in a flag-breaking one (`flag_breaking_change`),
+integer or rational.
 """
 
 import math
@@ -33,8 +35,8 @@ from leibnizalg.cohomology import (
 )
 from leibnizalg.core import Subspace, jordan_type_nilpotent
 from leibnizalg.isomorphism import transform_algebra
-from leibnizalg.linalg import Echelon, Matrix, Vector, inverse, kernel_basis, rank, rref
-from oracles import solve
+from leibnizalg.linalg import Echelon, Matrix, Vector, inverse, kernel_basis, rank
+from oracles import flag_breaking_change, rref, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -407,15 +409,7 @@ def members(draw):
     kind = draw(st.sampled_from(("catalog", "dense-integer", "dense-rational")))
     if kind == "catalog" or dim == 0:
         return a
-    sign = st.sampled_from((_ONE, -_ONE))
-    q = [[_ZERO] * dim for _ in range(dim)]
-    for r in range(dim):
-        for c in range(r + 1):
-            q[r][c] = draw(sign)
-    if kind == "dense-rational":
-        scale = [draw(st.sampled_from((Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)))) for _ in range(dim)]
-        q = [[x * scale[c] for c, x in enumerate(row)] for row in q]
-    return transform_algebra(a, Matrix(q, cols=dim))
+    return transform_algebra(a, flag_breaking_change(draw, dim, kind == "dense-rational"))
 
 
 @settings(max_examples=30, deadline=None)

@@ -26,6 +26,10 @@ The search walks a memoised candidate stream, one held prefix per
 (dimension, budget, seed); the search tests compare it with the `Matrix`
 search on warm and cold memos, past a patched pair cap and over more
 keys than the memo keeps.
+
+The dense bases of the `members` strategy are flag-breaking
+(`oracles.flag_breaking_change`), integer or rational: a triangular
+basis would keep the coordinate flag span(e_j, ..., e_n).
 """
 
 import itertools
@@ -100,6 +104,7 @@ from leibnizalg.linalg import (
     unit_vector,
     zero_vector,
 )
+from oracles import flag_breaking_change
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -557,16 +562,8 @@ small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
 
 def dense_change(draw, dim, kind):
-    """Lower triangular with +-1 on and below the diagonal; columns scaled if rational."""
-    sign = st.sampled_from((_ONE, -_ONE))
-    q = [[_ZERO] * dim for _ in range(dim)]
-    for r in range(dim):
-        for c in range(r + 1):
-            q[r][c] = draw(sign)
-    if kind == "dense-rational":
-        scale = [draw(st.sampled_from((Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)))) for _ in range(dim)]
-        q = [[x * scale[c] for c, x in enumerate(row)] for row in q]
-    return Matrix(q, cols=dim)
+    """A flag-breaking basis change (`flag_breaking_change`); columns scaled if rational."""
+    return flag_breaking_change(draw, dim, kind == "dense-rational")
 
 
 @st.composite
@@ -689,32 +686,15 @@ def test_candidate_stream_matches_matrix_stream(n, budget, seed):
         assert _columns_matrix(got) == expected
 
 
-def flag_breaking_change(draw, dim):
-    """A lower triangular times a unit upper triangular matrix, entries +-1.
-
-    A triangular basis keeps the flag span(e_j, ..., e_n); the product mixes it.
-    """
-    sign = st.sampled_from((_ONE, -_ONE))
-    lower = [[_ZERO] * dim for _ in range(dim)]
-    upper = [[_ZERO] * dim for _ in range(dim)]
-    for r in range(dim):
-        for c in range(r + 1):
-            lower[r][c] = draw(sign)
-            upper[c][r] = draw(sign) if c < r else _ONE
-    return Matrix(lower, cols=dim) @ Matrix(upper, cols=dim)
-
-
 @st.composite
 def search_pairs(draw):
-    """A member in a permuted basis (findable), a dense or a flag-breaking one (usually not)."""
+    """A member in a permuted basis (findable) or a dense flag-breaking one (usually not)."""
     family, dim, params = draw(st.sampled_from([m for m in MEMBERS if 3 <= m[1] <= 7]))
     src = catalog.make(family, dim, **params)
-    kind = draw(st.sampled_from(("permuted", "dense-integer", "dense-rational", "flag-breaking")))
+    kind = draw(st.sampled_from(("permuted", "dense-integer", "dense-rational")))
     if kind == "permuted":
         perm = draw(st.permutations(range(dim)))
         q = Matrix([[_ONE if perm[c] == r else _ZERO for c in range(dim)] for r in range(dim)], cols=dim)
-    elif kind == "flag-breaking":
-        q = flag_breaking_change(draw, dim)
     else:
         q = dense_change(draw, dim, kind)
     return transform_algebra(src, q), src
