@@ -8,13 +8,16 @@ the budget ran out.  The characteristic sequence is a certified lower
 bound, so fingerprints that differ only in an uncertain charseq count as
 a tie rather than a distinction.
 
-Bracket images are compared on machine ints: a witness is scaled by its
-common denominator into sparse integer columns and checked against the
-integer structure constants of both algebras (`Algebra.table`).  The
-search walks its candidates in that integer form, and every candidate
-that passes is built as a `Matrix` and re-verified by
-`verify_isomorphism` before it is returned.  A witness is rejected as
-singular by the `Echelon` rank of those sparse integer columns.
+Bracket images are compared on machine ints, against the integer
+structure constants of both algebras (`Algebra.table`).
+`verify_isomorphism` scales a witness by its common denominator into
+sparse integer rows and columns, rejects it as singular by the `Echelon`
+rank of the columns, and then scatters: one basis row at a time, each
+product of the target algebra is sent through the rows of the witness.
+The search filters its candidates pair by pair instead (`_brackets_match`),
+so a wrong candidate is dropped at its first failing pair, and every
+candidate that passes is built as a `Matrix` and re-verified by
+`verify_isomorphism` before it is returned.
 
 The candidate stream depends only on (dimension, budget, seed), never on
 the algebras, so it is memoised: searches with the same key walk one
@@ -152,15 +155,6 @@ class IsoCheck:
     reason: str | None = None
 
 
-def _integer_columns(p: Matrix) -> tuple[Columns, int]:
-    """The columns of d*p as sparse integer columns, and d."""
-    d = common_denominator(x for row in p.data for x in row)
-    return tuple(
-        tuple((r, x.numerator * (d // x.denominator)) for r, x in enumerate(p.column(j)) if x)
-        for j in range(p.cols)
-    ), d
-
-
 def _columns_matrix(cols: Columns) -> Matrix:
     n = len(cols)
     rows = [[0] * n for _ in range(n)]
@@ -176,6 +170,13 @@ def _brackets_match(a: Algebra, b: Algebra, cols: Columns, d: int) -> tuple[int,
     With P = d*p and integer products C_a = D_a*c_a, C_b = D_b*c_b, the
     condition p([e_i, e_j]_a) = [p e_i, p e_j]_b reads
     d*D_b*(P C_a[i,j]) = D_a * sum_{k,l} P_ki P_lj C_b[k,l].
+
+    This is the search's filter.  It gathers, pair by pair: for (i, j) it
+    looks up b's product of each pair of nonzero entries of columns i and
+    j, so most wrong candidates are dropped after the first pair or a few.
+    The row-by-row scatter of `verify_isomorphism` must build a whole row
+    of right-hand sides before its first comparison, which pays on a full
+    check but not on a candidate that fails early.
     """
     n = a.dim
     get_a = a.table.products.get
@@ -207,21 +208,65 @@ def _brackets_match(a: Algebra, b: Algebra, cols: Columns, d: int) -> tuple[int,
     return None
 
 
+def _products_by_row(a: Algebra) -> list[list[tuple[int, tuple[tuple[int, int], ...]]]]:
+    """a's integer products grouped by their first index: row i lists (j, terms of [e_i, e_j])."""
+    out = [[] for _ in range(a.dim)]
+    for (i, j), terms in a.table.products.items():
+        out[i].append((j, terms))
+    return out
+
+
 def verify_isomorphism(a: Algebra, b: Algebra, p: Matrix) -> IsoCheck:
     """Check that p maps a onto b: p([x, y]_a) = [p x, p y]_b, p invertible.
 
     Columns of p are the images of a's basis vectors in b's coordinates.
+    With P = d*p for the common denominator d of p, and integer products
+    C_a = D_a*c_a, C_b = D_b*c_b, the bracket condition at (i, j) reads
+    d*D_b*(P C_a[i,j]) = D_a * sum_{k,l} P_ki P_lj C_b[k,l].  It is
+    checked one row i at a time: every product (k, l) of b with P_ki != 0
+    is scattered through row l of P into the differences of all j at
+    once, and a's products (i, j) are subtracted, so only the sums of one
+    row are held.  The failing pair is the first in (i, j) order, as in
+    `_brackets_match`.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch: %d vs %d" % (a.dim, b.dim))
-    if p.rows != a.dim or p.cols != a.dim:
-        raise ValueError("change of basis must be %d x %d" % (a.dim, a.dim))
-    cols, d = _integer_columns(p)
-    if len(Echelon(p.cols, map(dict, cols)).held) < p.cols:
+    n = a.dim
+    if p.rows != n or p.cols != n:
+        raise ValueError("change of basis must be %d x %d" % (n, n))
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in p.data]
+    d = common_denominator(x for row in rows for _, x in row)
+    rows = [[(j, x.numerator * (d // x.denominator)) for j, x in row] for row in rows]
+    cols: list[dict[int, int]] = [{} for _ in range(n)]
+    for r, row in enumerate(rows):
+        for j, x in row:
+            cols[j][r] = x
+    if len(Echelon(n, cols).held) < n:
         return IsoCheck(False, None, "matrix is singular")
-    pair = _brackets_match(a, b, cols, d)
-    if pair is not None:
-        return IsoCheck(False, pair, "bracket images differ at (e%d, e%d)" % pair)
+    left, right = d * b.table.denominator, a.table.denominator
+    g = math.gcd(left, right)
+    left, right = left // g, right // g
+    products_a, products_b = _products_by_row(a), _products_by_row(b)
+    for i in range(n):
+        sums: dict[int, int] = {}  # j*n + t -> entry t of the difference at (i, j)
+        for k, x in cols[i].items():
+            x *= right
+            for l, terms in products_b[k]:
+                for j, y in rows[l]:
+                    f = x * y
+                    jn = j * n
+                    for t, c in terms:
+                        sums[jn + t] = sums.get(jn + t, 0) + f * c
+        for j, terms in products_a[i]:
+            jn = j * n
+            for m, c in terms:
+                c *= left
+                for t, x in cols[m].items():
+                    sums[jn + t] = sums.get(jn + t, 0) - c * x
+        failing = [key for key, v in sums.items() if v]
+        if failing:
+            j = min(failing) // n
+            return IsoCheck(False, (i + 1, j + 1), "bracket images differ at (e%d, e%d)" % (i + 1, j + 1))
     return IsoCheck(True)
 
 

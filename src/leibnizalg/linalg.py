@@ -85,7 +85,9 @@ def unit_vector(n: int, i: int) -> Vector:
 class Matrix:
     """Immutable dense matrix of Fractions.
 
-    `data` is a tuple of row tuples.  An explicit `cols` count is required
+    `data` is a tuple of row tuples.  Entries that are already `Fraction`s
+    are kept as they are; anything else goes through `frac`, so floats and
+    exponent literals are refused.  An explicit `cols` count is required
     when constructing a matrix with zero rows, since the width cannot be
     inferred.
     """
@@ -93,7 +95,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable[int | str | Fraction]], cols: int | None = None):
-        grid = tuple(tuple(frac(x) for x in row) for row in data)
+        grid = tuple(tuple(x if type(x) is Fraction else frac(x) for x in row) for row in data)
         if grid:
             width = len(grid[0])
             if any(len(row) != width for row in grid):

@@ -22,8 +22,12 @@ against it.  `fraction_reduce_extension` is the earlier
 matrices (`rref` of [classes | identity], `inverse`, the shifts as
 Fraction sums), and `bareiss_verify_isomorphism` the earlier
 `verify_isomorphism`, which decided singularity by the Bareiss rank of
-the dense integer grid.  They are kept verbatim apart from their names,
-as references for the int echelons that replaced them.
+the dense integer grid and then checked the brackets pair by pair with
+the search's filter `_brackets_match`, on the sparse integer columns of
+`_integer_columns` (moved here from `isomorphism` once the row-by-row
+scatter of `verify_isomorphism` had replaced it).  They are kept
+verbatim apart from their names, as references for the int echelons and
+the scatter that replaced them.
 
 `flag_breaking_change` draws a basis change that is a lower times a
 unit upper triangular matrix.  A triangular basis keeps the flag
@@ -39,12 +43,13 @@ from hypothesis import strategies as st
 
 from leibnizalg.cohomology import _class_and_preimage, _condition_rows, cohomology_basis, combine
 from leibnizalg.extension import SplitReport, _require_leibniz, validate_cocycle
-from leibnizalg.isomorphism import IsoCheck, _brackets_match, _integer_columns
+from leibnizalg.isomorphism import Columns, IsoCheck, _brackets_match
 from leibnizalg.linalg import (
     Echelon,
     Matrix,
     Vector,
     _echelon,
+    common_denominator,
     frac,
     integer_grid,
     integer_rank,
@@ -267,6 +272,15 @@ def fraction_reduce_extension(spec) -> SplitReport:
         section_shift=tuple(shifts),
         change_of_basis=Matrix.from_columns(columns),
     )
+
+
+def _integer_columns(p: Matrix) -> tuple[Columns, int]:
+    """The columns of d*p as sparse integer columns, and d."""
+    d = common_denominator(x for row in p.data for x in row)
+    return tuple(
+        tuple((r, x.numerator * (d // x.denominator)) for r, x in enumerate(p.column(j)) if x)
+        for j in range(p.cols)
+    ), d
 
 
 def bareiss_verify_isomorphism(a, b, p: Matrix) -> IsoCheck:

@@ -47,6 +47,24 @@ def test_identity_witness_on_equal_tables():
     assert check.failing_pair is None
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (("L", {"alpha3": 0, "beta3": 1, "alpha4": 0, "beta4": 0}), ("L3l", {"lam": 1})),
+        (("N", {"alpha3": 0, "beta3": 1, "alpha4": 0, "beta4": 0}), ("L1l", {"lam": 1})),
+    ],
+)
+def test_coincident_roster_pairs_at_dim_7(first, second):
+    # L(0,1,0,0) and L3l(1) are both listed in experiment 4.4, N(0,1,0,0) and
+    # L1l(1) both in 4.5; at dim 7 each pair has one integer table
+    a = catalog.make(first[0], 7, **first[1])
+    b = catalog.make(second[0], 7, **second[1])
+    assert a == b
+    assert a.table == b.table
+    assert verify_isomorphism(a, b, Matrix.identity(7)) == verify_isomorphism(b, a, Matrix.identity(7))
+    assert verify_isomorphism(a, b, Matrix.identity(7)).ok
+
+
 def test_wrong_witness_reports_failing_pair():
     a = catalog.make("NF", 3)
     b = catalog.make("F1", 3)

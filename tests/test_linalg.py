@@ -45,6 +45,19 @@ def test_frac_rejects_exponents():
     assert frac("1.25") == Fraction(5, 4)
 
 
+def test_matrix_refuses_a_float_among_fractions():
+    # entries that are Fractions skip `frac`; any other entry still goes through it
+    rows = [[Fraction(1), Fraction(1, 2)], [Fraction(-3, 4), 0.25]]
+    with pytest.raises(TypeError, match="float"):
+        Matrix(rows)
+    with pytest.raises(ValueError, match="exponent"):
+        Matrix([[Fraction(1), "1e5"]])
+    assert Matrix([[Fraction(1, 2), 3], ["-2/3", Fraction(0)]]).data == (
+        (Fraction(1, 2), Fraction(3)),
+        (Fraction(-2, 3), Fraction(0)),
+    )
+
+
 def test_span_refuses_float_entries():
     # `sparse` passes entries through; the elimination itself refuses floats
     with pytest.raises(TypeError, match="refusing to eliminate float"):

@@ -4,11 +4,16 @@
 `reduce_extension`, which did its class algebra on dense `Fraction`
 matrices; `bareiss_verify_isomorphism` is the earlier
 `verify_isomorphism`, which decided singularity by the Bareiss rank of
-the dense integer grid.  The reports and checks must be equal, field by
-field, on catalog members in their own basis and in flag-breaking
-integer and rational bases, with cocycles that hold zero, repeated,
-dependent and coboundary components, and on singular, dense, searched
-and reduce-made change-of-basis matrices.
+the dense integer grid and checked the brackets pair by pair with the
+search's filter `_brackets_match`.  The reports and checks must be
+equal, field by field, on catalog members in their own basis and in
+flag-breaking integer and rational bases, with cocycles that hold zero,
+repeated, dependent and coboundary components, and on singular, dense,
+searched and reduce-made change-of-basis matrices.  The row-by-row
+scatter of `verify_isomorphism` must also report the same failing pair
+in the reversed direction, inside each block of a reduce change of
+basis, where only one side of a pair has a product, and on conjugating
+witnesses up to dim 10.
 """
 
 import random
@@ -19,7 +24,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from leibnizalg import catalog, linalg
+from leibnizalg import catalog, isomorphism, linalg
+from leibnizalg.core import abelian_algebra
 from leibnizalg.cohomology import BilinearForm, coboundary_generator, cocycle_space, combine, is_cocycle
 from leibnizalg.extension import (
     InvalidCocycleError,
@@ -30,7 +36,7 @@ from leibnizalg.extension import (
     reduced_spec,
 )
 from leibnizalg.isomorphism import search_isomorphism, transform_algebra, verify_isomorphism
-from leibnizalg.linalg import Matrix
+from leibnizalg.linalg import Matrix, inverse
 from oracles import bareiss_verify_isomorphism, flag_breaking_change, fraction_reduce_extension
 
 _ZERO = Fraction(0)
@@ -232,3 +238,71 @@ def test_verify_matches_bareiss_oracle_on_reduce_change_of_basis(data):
     if p.rows:
         assert assert_verify_matches(rebuilt, original, p).ok
         assert_verify_matches(rebuilt, original, perturbed(data.draw, p))
+        assert_verify_matches(original, rebuilt, p)
+    n, size = a.dim, p.rows
+    if n and spec.k:
+        # columns 0..n-1 carry the section shear in rows n.., columns n.. the block W
+        for block in (range(n), range(n, size)):
+            rows = [list(row) for row in p.data]
+            rows[data.draw(st.integers(n, size - 1))][data.draw(st.sampled_from(block))] += data.draw(small.filter(bool))
+            q = Matrix(rows, cols=size)
+            assert_verify_matches(rebuilt, original, q)
+            assert_verify_matches(original, rebuilt, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_scatter_matches_bareiss_oracle_with_a_product_on_one_side_only(data):
+    _, q, a = data.draw(members())
+    n = a.dim
+    assume(a.table.products)
+    flat = abelian_algebra(n)
+    first = min(a.table.products)
+    for x, y in ((a, flat), (flat, a)):
+        # the identity leaves a's first product unmatched on the other side
+        check = assert_verify_matches(x, y, Matrix.identity(n))
+        assert check.failing_pair == (first[0] + 1, first[1] + 1)
+        assert not assert_verify_matches(x, y, q).ok
+
+
+WIDE_MEMBERS = MEMBERS + (
+    ("F1", 10, {}),
+    ("F2", 10, {}),
+    ("NF", 9, {}),
+    ("L4l", 8, {"lam": "2/3"}),
+    ("F1param", 8, {"alpha8": "1/2", "theta": "2/3"}),
+    ("L3l", 9, {"lam": 1}),
+    ("Lstar", 10, {}),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_scatter_matches_bareiss_oracle_on_conjugating_witnesses_up_to_dim_10(data):
+    family, dim, params = data.draw(st.sampled_from([m for m in WIDE_MEMBERS if m[1]]))
+    src = catalog.make(family, dim, **params)
+    q = flag_breaking_change(data.draw, dim, data.draw(st.booleans()))
+    a = transform_algebra(src, q)
+    assert assert_verify_matches(a, src, q).ok
+    assert assert_verify_matches(src, a, inverse(q)).ok
+    assert_verify_matches(src, a, q)
+    assert_verify_matches(a, src, perturbed(data.draw, q))
+
+
+def test_verify_never_calls_the_search_filter(monkeypatch):
+    src = catalog.make("F1", 6)
+    q = Matrix([[1 if c == 5 - r else 0 for c in range(6)] for r in range(6)], cols=6)
+    a = transform_algebra(src, q)
+    calls = []
+    real = isomorphism._brackets_match
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(isomorphism, "_brackets_match", counting)
+    checks = [verify_isomorphism(a, src, q), verify_isomorphism(src, a, q), verify_isomorphism(a, src, Matrix.identity(6))]
+    assert calls == []
+    assert [c.ok for c in checks] == [True, True, False]  # the reversal is its own inverse
+    assert search_isomorphism(a, src, budget=50).status == "found"
+    assert calls  # the patch reaches the search
