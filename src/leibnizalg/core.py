@@ -523,13 +523,23 @@ def jordan_type_nilpotent(m: Matrix) -> CharSeq:
     return _jordan_type_of_grid(linalg.integer_grid(m), m.rows)
 
 
-def _jordan_type_of_grid(grid: list[list[int]], n: int) -> CharSeq:
-    """Jordan type of a nilpotent n x n int grid, by Bareiss rank sequence."""
+def _jordan_type_of_grid(
+    grid: list[list[int]], n: int, floor: CharSeq | None = None, cap: int | None = None
+) -> CharSeq | None:
+    """Jordan type of a nilpotent n x n int grid, by Bareiss rank sequence.
+
+    With a `floor`, which needs `cap`, only a type above the floor is
+    returned, and None otherwise: after each rank, `_rank_completion`
+    bounds every type with the ranks found so far and no block above
+    `cap`, and the chain stops as soon as that bound is at most the floor.
+    """
     ranks = [n]
     power = grid
     while True:
         r = linalg.integer_rank(power, n)
         ranks.append(r)
+        if floor is not None and _rank_completion(ranks, cap) <= floor.parts:
+            return None
         if r == 0:
             break
         if len(ranks) > n + 1:
@@ -549,18 +559,52 @@ def _parts_from_ranks(ranks: list[int]) -> CharSeq:
     return CharSeq(tuple(parts))
 
 
+def _rank_completion(ranks: list[int], cap: int) -> tuple[int, ...]:
+    """The largest Jordan type, blocks at most `cap`, whose ranks begin with `ranks`.
+
+    With r_0..r_K known, the blocks below K are fixed (r_{s-1} - 2 r_s +
+    r_{s+1} of size s), and the blocks of size >= K number
+    c = r_{K-1} - r_K and sum to K c + r_K.  Those are taken greedily,
+    each as large as `cap` and the blocks still to come allow, so every
+    type with these ranks is at most the result.
+    """
+    k = len(ranks) - 1
+    count = ranks[k - 1] - ranks[k]
+    total = k * count + ranks[k]
+    parts = []
+    for left in range(count - 1, -1, -1):
+        p = min(cap, total - k * left)
+        parts.append(p)
+        total -= p
+    for s in range(k - 1, 0, -1):
+        parts.extend([s] * (ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]))
+    return tuple(parts)
+
+
 class CharSeqWitness(NamedTuple):
     seq: CharSeq
     witness: Vector
     exact: bool
 
 
-def _greedy_max_charseq(n: int, cap: int) -> CharSeq:
-    """Lexicographically maximal weakly decreasing composition of n with parts <= cap."""
-    parts = []
+def _greedy_max_charseq(n: int, cap: int, limits: Sequence[int] = ()) -> CharSeq:
+    """Lexicographically largest Jordan type of size n within rank limits.
+
+    Blocks are at most `cap`, and the rank sum(max(p - k, 0)) of the k-th
+    power is at most limits[k - 1] for each k it covers.  A block of 1
+    adds no rank, so each block is taken as large as the limits allow and
+    the rest filled in the same way; the limits only tighten as blocks
+    are added, so the blocks come out weakly decreasing.
+    """
+    parts: list[int] = []
+    ranks = [0] * cap
     remaining = n
     while remaining > 0:
         p = min(cap, remaining)
+        while p > 1 and any(ranks[k] + p - k > limit for k, limit in enumerate(limits[: p - 1], start=1)):
+            p -= 1
+        for k in range(1, p):
+            ranks[k] += p - k
         parts.append(p)
         remaining -= p
     return CharSeq(tuple(parts))
@@ -608,17 +652,39 @@ def _quotient_functionals(space: Subspace) -> list[list[tuple[int, int]]]:
     return functionals
 
 
+def _charseq_bound(a: Algebra) -> CharSeq:
+    """A certified upper bound on the Jordan type of every R_x.
+
+    R_x^k maps L into L^{k+1}, and its kernel contains the left
+    annihilator {y : [y, L] = 0}, so for k >= 1 its rank is at most
+    min(dim L^{k+1}, n - dim Ann_left(L)); no block exceeds nilindex - 1.
+    The bound is the largest type within those limits.  `a` must be
+    nilpotent and nonzero.
+    """
+    dims = series_dims(a)
+    kernel_limit = a.dim - left_annihilator(a).dim
+    limits = [min(d, kernel_limit) for d in dims[1:]]
+    return _greedy_max_charseq(a.dim, len(dims) - 1, limits)
+
+
 @lru_cache(maxsize=None)
 def characteristic_sequence(a: Algebra) -> CharSeqWitness:
     """Best Jordan type of R_x over a deterministic candidate sweep.
 
     Candidates are the basis vectors, all pairwise sums e_i +/- e_j, and
     CHARSEQ_RANDOM_TRIALS pseudo-random rational vectors drawn with
-    CHARSEQ_SEED, each restricted to lie outside L^2.  The result is a
-    certified lower bound in the lexicographic order; `exact` is True only
-    when the sequence reaches the a-priori maximum compatible with the
-    nilindex (the largest block of R_x is at most nilindex - 1 because
-    R_x^k maps into L^{k+1}).
+    CHARSEQ_SEED, each restricted to lie outside L^2.  The result is the
+    lexicographically largest type found, with the first candidate that
+    reaches it as witness; `exact` is True only when it reaches the
+    a-priori maximum compatible with the nilindex (the largest block of
+    R_x is at most nilindex - 1 because R_x^k maps into L^{k+1}).
+
+    Two steps skip only work that cannot change that result.  The sweep
+    stops once the best type equals the certified upper bound of
+    `_charseq_bound`, which no candidate can exceed.  And each
+    candidate's rank chain stops as soon as its ranks so far rule out a
+    type above the best one (`_jordan_type_of_grid` with a floor), so a
+    later candidate that only ties never replaces the witness.
     """
     s = nilindex(a)
     if s is None:
@@ -626,20 +692,20 @@ def characteristic_sequence(a: Algebra) -> CharSeqWitness:
     n = a.dim
     if n == 0:
         return CharSeqWitness(CharSeq(()), (), True)
-    derived = lower_central_series(a)[1] if len(lower_central_series(a)) > 1 else Subspace.span(n, [])
     cap = s - 1
     # No block of R_x exceeds s - 1: R_x^k maps everything into L^{k+1}.
-    target = _greedy_max_charseq(n, cap) if cap >= 1 else CharSeq((1,) * n)
-    quotient = _quotient_functionals(derived)
+    target = _greedy_max_charseq(n, cap)
+    bound = _charseq_bound(a)
+    quotient = _quotient_functionals(lower_central_series(a)[1])
     best: CharSeq | None = None
     witness: Vector | None = None
     for x, ints in _charseq_probes(n):
         if not any(sum(ints[k] * v for k, v in f) for f in quotient):
             continue  # x lies in L^2
-        seq = _jordan_type_of_grid(_right_mult_grid(a, ints), n)
-        if best is None or best < seq:
+        seq = _jordan_type_of_grid(_right_mult_grid(a, ints), n, best, cap)
+        if seq is not None:
             best, witness = seq, x
-            if best == target:
+            if best == bound:
                 break
     if best is None or witness is None:
         raise ValueError("no candidate found outside L^2; algebra is zero-dimensional or degenerate")

@@ -4,9 +4,12 @@ A fingerprint bundles the cheap isomorphism invariants; two algebras with
 different fingerprints are non-isomorphic.  Witness verification checks a
 proposed change of basis exactly.  The search is deliberately incomplete:
 "found" and "distinguished" results are certified, "undetermined" means
-the budget ran out.  The characteristic sequence is a certified lower
-bound, so fingerprints that differ only in an uncertain charseq count as
-a tie rather than a distinction.
+the budget ran out.  The characteristic sequence is the best Jordan
+type a deterministic candidate sweep finds, a lower bound; the sweep
+stops early once it meets a certified upper bound, but the sequence is
+certified exact only when it reaches the maximum the nilindex allows.  So
+fingerprints that differ only in an uncertain charseq count as a tie
+rather than a distinction.
 
 Bracket images are compared on machine ints, against the integer
 structure constants of both algebras (`Algebra.table`).

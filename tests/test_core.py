@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibnizalg import catalog
+from leibnizalg import catalog, linalg
 from leibnizalg.core import (
+    CharSeq,
     LeibnizError,
     NotNilpotentError,
     Subspace,
+    _charseq_probes,
+    _greedy_max_charseq,
+    _jordan_type_of_grid,
+    _rank_completion,
     abelian_algebra,
     algebra_from_products,
     bracket,
@@ -29,7 +34,8 @@ from leibnizalg.core import (
     series_dims,
     squares_subspace,
 )
-from leibnizalg.linalg import Matrix, unit_vector, vec
+from leibnizalg.isomorphism import transform_algebra
+from leibnizalg.linalg import Matrix, inverse, unit_vector, vec
 
 
 def chain(n):
@@ -130,6 +136,98 @@ def test_charseq_filiform_frozen():
     a = catalog.make("F1", 6)
     op = right_mult_operator(a, w.witness)
     assert tuple(jordan_type_nilpotent(op).parts) == (5, 1)
+
+
+def partitions(n, cap):
+    """Every partition of n with parts at most cap, parts weakly decreasing."""
+    if n == 0:
+        yield ()
+        return
+    for p in range(min(n, cap), 0, -1):
+        for rest in partitions(n - p, p):
+            yield (p,) + rest
+
+
+def rank_sequence(parts):
+    """r_0, r_1, ..., 0: the ranks of the powers of a nilpotent of Jordan type parts."""
+    return [sum(max(p - k, 0) for p in parts) for k in range((parts[0] if parts else 0) + 1)]
+
+
+def test_rank_completion_is_the_largest_type_with_those_ranks():
+    for n in range(1, 13):
+        for cap in range(1, n + 1):
+            largest = {}
+            seen = []
+            for parts in partitions(n, cap):
+                ranks = rank_sequence(parts)
+                for k in range(1, len(ranks)):
+                    prefix = tuple(ranks[: k + 1])
+                    largest[prefix] = max(largest.get(prefix, parts), parts)
+                    seen.append((prefix, parts))
+            for prefix, parts in seen:
+                completion = _rank_completion(list(prefix), cap)
+                assert completion >= parts
+                assert completion == largest[prefix], (n, cap, prefix)
+
+
+def test_greedy_charseq_is_the_largest_type_within_rank_limits():
+    for n in range(1, 11):
+        for cap in range(1, n + 1):
+            types = list(partitions(n, cap))
+            assert _greedy_max_charseq(n, cap) == CharSeq(types[0])
+            for mu in types:
+                limits = rank_sequence(mu)[1:]
+                within = [parts for parts in types if all(r <= u for r, u in zip(rank_sequence(parts)[1:], limits))]
+                assert _greedy_max_charseq(n, cap, limits) == CharSeq(max(within)), (n, cap, mu)
+
+
+def fixed_dense_basis(n):
+    """A flag-breaking basis: lower triangular times unit upper triangular, entries +-1."""
+    lower = [[Fraction((-1) ** (r * c + r)) if c <= r else Fraction(0) for c in range(n)] for r in range(n)]
+    upper = [[Fraction(1) if c == r else Fraction((-1) ** (r + c)) if c > r else Fraction(0) for c in range(n)]
+             for r in range(n)]
+    return Matrix(lower, cols=n) @ Matrix(upper, cols=n)
+
+
+def test_rank_chain_with_a_floor_returns_only_types_above_it():
+    # Each nilpotent grid is a Jordan matrix of the given type, conjugated
+    # by a fixed unimodular basis so that it is dense.  A type equal to the
+    # floor is never returned, also when it has two or more largest blocks
+    # below cap, whose ties no earlier rank can settle.
+    for n in range(1, 8):
+        q = fixed_dense_basis(n)
+        q_inv = inverse(q)
+        for cap in range(1, n + 1):
+            types = list(partitions(n, cap))
+            for parts in types:
+                shift = [[Fraction(0)] * n for _ in range(n)]
+                start = 0
+                for p in parts:
+                    for i in range(start, start + p - 1):
+                        shift[i + 1][i] = Fraction(1)
+                    start += p
+                grid = linalg.integer_grid(q_inv @ Matrix(shift, cols=n) @ q)
+                assert _jordan_type_of_grid(grid, n) == CharSeq(parts)
+                for floor in types:
+                    expected = CharSeq(parts) if parts > floor else None
+                    assert _jordan_type_of_grid(grid, n, CharSeq(floor), cap) == expected, (parts, floor, cap)
+
+
+@pytest.mark.parametrize("family, rank_calls", [("Qstar", 7), ("Nstar", len(_charseq_probes(7)) + 7)])
+def test_charseq_sweep_stops_at_the_bound_and_prunes_chains(monkeypatch, family, rank_calls):
+    # Qstar's first candidate reaches the certified bound (3, 2, 1, 1), so
+    # one rank chain is all the sweep computes.  Nstar never reaches its
+    # bound (5, 2): after the first full chain, each candidate that ties
+    # (5, 1, 1) stops at its first rank.  The unpruned sweep computes
+    # about 70 full chains, over 200 ranks, on either.
+    a = transform_algebra(catalog.make(family, 7), fixed_dense_basis(7))
+    calls = []
+    integer_rank = linalg.integer_rank
+    monkeypatch.setattr(linalg, "integer_rank", lambda grid, cols: calls.append(cols) or integer_rank(grid, cols))
+    w = characteristic_sequence.__wrapped__(a)
+    monkeypatch.undo()
+    assert not w.exact
+    assert len(calls) <= rank_calls
 
 
 def test_gradation_of_filiform():

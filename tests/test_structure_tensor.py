@@ -22,6 +22,11 @@ drawn as ints.
 grid.  They are the references for `_from_records`, which now makes
 every table from (i, j, k, c) records, with `sc` derived from the table.
 
+`oracle_charseq` sweeps every candidate to the end of its rank chain.
+It is the reference for the sweep that stops at the certified bound
+`_charseq_bound` and prunes rank chains that cannot beat the best type,
+on members that reach that bound and on members that fall short of it.
+
 The search walks a memoised candidate stream, one held prefix per
 (dimension, budget, seed); the search tests compare it with the `Matrix`
 search on warm and cold memos, past a patched pair cap and over more
@@ -55,6 +60,7 @@ from leibnizalg.core import (
     LeibnizViolation,
     NotNilpotentError,
     Subspace,
+    _charseq_bound,
     _charseq_probes,
     _greedy_max_charseq,
     abelian_algebra,
@@ -651,6 +657,40 @@ def test_characteristic_sequence_matches_dense_oracle(member):
     expected = oracle_charseq(a, CHARSEQ_RANDOM_TRIALS, CHARSEQ_SEED)
     got = characteristic_sequence(a)
     assert (got.seq, got.witness, got.exact) == (expected.seq, expected.witness, expected.exact)
+
+
+# Members whose charseq is not certified exact: the first group reaches
+# the certified bound (`_charseq_bound`), where the sweep stops; the second
+# falls short of it, so every candidate is tried and only the pruning of
+# each rank chain saves work.
+REACH_BOUND = (("Pstar", 7), ("Q", 7), ("R", 6), ("M", 7), ("L1", 6), ("L2", 5), ("E4F1", 8))
+SHORT_OF_BOUND = (("Lstar", 6), ("Nstar", 7))
+
+
+@st.composite
+def not_exact_members(draw):
+    """A member of REACH_BOUND or SHORT_OF_BOUND in a flag-breaking integer or rational basis."""
+    family, dim = member = draw(st.sampled_from(REACH_BOUND + SHORT_OF_BOUND))
+    q = flag_breaking_change(draw, dim, draw(st.booleans()))
+    return member, transform_algebra(catalog.make(family, dim), q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(not_exact_members())
+def test_characteristic_sequence_matches_unpruned_oracle_when_not_exact(drawn):
+    member, a = drawn
+    expected = oracle_charseq(a, CHARSEQ_RANDOM_TRIALS, CHARSEQ_SEED)
+    got = characteristic_sequence(a)
+    assert (got.seq, got.witness, got.exact) == (expected.seq, expected.witness, False)
+    assert (got.seq == _charseq_bound(a)) == (member in REACH_BOUND)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_no_right_multiplication_exceeds_the_charseq_bound(data):
+    a = data.draw(st.one_of(members(min_dim=1).map(lambda m: m[2]), not_exact_members().map(lambda m: m[1])))
+    x = data.draw(vectors(a.dim))
+    assert jordan_type_nilpotent(right_mult_operator(a, x)) <= _charseq_bound(a)
 
 
 def test_charseq_probes_match_rational_draws():
