@@ -217,23 +217,29 @@ def combine(forms: Sequence[BilinearForm], coeffs: Sequence[int | str | Fraction
         raise ValueError("empty combination")
     if len(forms) != len(coeffs):
         raise ValueError("coefficient count mismatch")
+    coeffs = [frac(c) for c in coeffs]
+    den = common_denominator(coeffs)
+    return _combine_ints(forms, [c.numerator * (den // c.denominator) for c in coeffs], den)
+
+
+def _combine_ints(forms: Sequence[BilinearForm], nums: Sequence[int], den: int) -> BilinearForm:
+    """sum nums[t] * forms[t] / den, for int coefficients over one denominator den > 0."""
     n = forms[0].dim
-    den = 1
+    lcm = 1
     terms = []
-    for form, c in zip(forms, coeffs):
-        c = frac(c)
+    for form, c in zip(forms, nums):
         if c:
             if form.dim != n:
                 raise ValueError("dimension mismatch")
-            d = form.denominator * c.denominator
-            den = den // math.gcd(den, d) * d
-            terms.append((form.entries, c.numerator, d))
+            d = form.denominator
+            lcm = lcm // math.gcd(lcm, d) * d
+            terms.append((form.entries, c, d))
     acc: dict[int, int] = {}
-    for entries, num, d in terms:
-        f = num * (den // d)
+    for entries, c, d in terms:
+        f = c * (lcm // d)
         for p, x in entries.items():
             acc[p] = acc.get(p, 0) + f * x
-    return _form_over(n, den, acc)
+    return _form_over(n, lcm * den, acc)
 
 
 ConditionRow = tuple[tuple[int, int, int], dict[int, int]]

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .cohomology import (
     BilinearForm,
+    _combine_ints,
     _condition_rows,
     _defects,
     _has_class,
@@ -69,6 +71,26 @@ class ExtensionSpec:
     def k(self) -> int:
         return len(self.forms)
 
+    @cached_property
+    def _cocycles(self) -> tuple[BilinearForm, ...]:
+        """`forms`, once the base is known Leibniz and every component a cocycle.
+
+        A derived view, like `Algebra._hash`, computed on first use and
+        kept on this spec only when it succeeds: a refused spec raises
+        again, and an equal spec built separately is validated on its own.
+        Each component is tested by a membership test on its int entries:
+        over a Leibniz base a form is a cocycle exactly when it reduces
+        into the span of the class echelon.  A rejected component is
+        handed to `validate_cocycle`, whose error names the first
+        violating triple in (i, j, k) sweep order.  `reduce_extension` and
+        `reduced_spec` set the view where their own work has proved it
+        (`_known_cocycles`).
+        """
+        _require_leibniz(self.base)
+        if not all(_has_class(self.base, form) for form in self.forms):
+            validate_cocycle(self)  # raises, naming the first violating triple
+        return self.forms
+
 
 def make_spec(base: Algebra, *forms: BilinearForm) -> ExtensionSpec:
     return ExtensionSpec(base, tuple(forms))
@@ -101,27 +123,24 @@ def central_extension(spec: ExtensionSpec) -> Algebra:
     are central.  The result is Leibniz exactly because the components are
     cocycles, so it is returned pre-checked.
 
-    Each component is validated by a membership test on its int entries:
-    over a Leibniz base a form is a cocycle exactly when it reduces into
-    the span of the class echelon.  A rejected component is handed to
-    `validate_cocycle`, whose error names the first violating triple in
-    (i, j, k) sweep order.
+    The components are validated once per spec (`ExtensionSpec._cocycles`):
+    a spec that `reduce_extension` accepted, or that `reduced_spec` made
+    from its report, is not reduced against the class echelon again, and
+    any other spec is, in full.
 
     The integer table is put together from the base's table and the
     forms' entries over the least common multiple of their denominators,
     the least common denominator of all the constants, in the order
     `core._from_records` would give it.
     """
+    forms = spec._cocycles
     base = spec.base
-    _require_leibniz(base)
-    if not all(_has_class(base, form) for form in spec.forms):
-        validate_cocycle(spec)  # raises, naming the first violating triple
     n, k = base.dim, spec.k
     table = base.table
-    den = math.lcm(table.denominator, *(form.denominator for form in spec.forms))
+    den = math.lcm(table.denominator, *(form.denominator for form in forms))
     f = den // table.denominator
     products = {key: [(m, c * f) for m, c in terms] for key, terms in table.products.items()}
-    for t, form in enumerate(spec.forms):
+    for t, form in enumerate(forms):
         f = den // form.denominator
         for p, c in form.entries.items():
             products.setdefault(divmod(p, n), []).append((n + t, c * f))
@@ -160,6 +179,12 @@ class SplitReport:
     vector over the base) absorbed into the section for the s-th trailing
     direction.  `change_of_basis` maps the rebuilt reduced extension onto
     the original one.
+
+    `_cocycles_of` is not a constructor argument: `reduce_extension` sets
+    it to the base over which the `reduced` components are known
+    cocycles, so `reduced_spec` need not validate them again.  A report
+    built by hand, or by `dataclasses.replace`, leaves it None, and its
+    components are validated in full when the reduced spec is used.
     """
 
     class_rank: int
@@ -168,6 +193,7 @@ class SplitReport:
     reduced: tuple[BilinearForm, ...]
     section_shift: tuple[Vector, ...]
     change_of_basis: Matrix
+    _cocycles_of: Algebra | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def split(self) -> bool:
@@ -186,26 +212,35 @@ def reduce_extension(spec: ExtensionSpec) -> SplitReport:
 
     One int reduce per component against `CohomologyBasis.classes` gives
     its class and a coboundary preimage psi_t of the rest, so component t
-    becomes the int row [class | e_t | psi_t] of one fraction-free
-    `Echelon`.  The psi block holds no pivot, so reduced row s carries
-    U[s] in its unit block and sum_t U[s][t] psi_t, the shift of trailing
-    component s, in its psi block.  W = U^-1 comes from a k x 2k `Echelon`
-    on [U | identity].  Elimination runs on ints; Fractions are built only
-    for the report's fields.  Over a Leibniz base a form lacks a class
-    exactly when it is not a cocycle, so the class computation is the
-    only validation needed.
+    becomes the int row r_t = [class | e_t | psi_t] (scaled) of one
+    fraction-free `Echelon`, the only one.  The psi block holds no pivot,
+    so reduced row s carries U[s] in its unit block and
+    sum_t U[s][t] psi_t, the shift of trailing component s, in its psi
+    block.  W = U^-1 is read off the pivots: r_t = sum_s W[t][s] (reduced
+    row s), and a reduced row is zero at every other pivot, so W[t][s] is
+    the entry of r_t at pivot s, a unit delta when that pivot lies in the
+    unit block.  So row n + t of the change of basis is [the shift of the
+    pivot at column h + t, if it is one | W[t]].  The reduced components
+    are int combinations of the forms (`cohomology._combine_ints`), and
+    `change_of_basis` and `v_basis` are built from int rows
+    (`Matrix._from_ints`), which `verify_isomorphism` reads as they are.
+
+    Over a Leibniz base a form lacks a class exactly when it is not a
+    cocycle, so the class computation is the only validation needed; it
+    is recorded on the spec (`ExtensionSpec._cocycles`) and, for the
+    reduced components, on the report, so `central_extension` does not
+    repeat it.
     """
     base = spec.base
     _require_leibniz(base)
     n, k = base.dim, spec.k
     basis = cohomology_basis(base)
     h = basis.dim
-    if k == 0:
-        return SplitReport(0, 0, Matrix.zeros(0, 0), (), (), Matrix.identity(n))
     width, psi = n * n, h + k
     # `classes` holds the preimage tag of functional m at column cols - 1 - m.
     last = psi + basis.classes.cols - 1
     e = Echelon(psi + n)
+    rows = []
     for t, form in enumerate(spec.forms):
         residue, scale = basis.classes.reduce_ints(form.entries)
         if any(p < width for p in residue):
@@ -213,40 +248,66 @@ def reduce_extension(spec: ExtensionSpec) -> SplitReport:
         row = {p - width if p < width + h else last - p: x for p, x in residue.items()}
         row[h + t] = -scale * form.denominator  # the residue is -scale * D * [class | psi]
         e.add(row)
+        rows.append(row)
+    _known_cocycles(spec)
     pivots = e.pivots
     held = [e.held[p] for p in pivots]
     q = [row[p] for p, row in zip(pivots, held)]
     d = sum(1 for p in pivots if p < h)
-    # Row s of [U | I] times q[s], the pivot entry of reduced row s.
-    u = ({j - h: x for j, x in row.items() if h <= j < psi} | {k + s: q[s]} for s, row in enumerate(held))
-    w = [row for _, row in sorted(Echelon(2 * k, u).held.items())]
-    v_basis = tuple(_fractions(row, row[t], range(k, 2 * k)) for t, row in enumerate(w))
+    unit = {p - h: s for s, p in enumerate(pivots) if p >= h}  # t -> the s with pivot h + t
+    # W[t][s] = rows[t][pivots[s]] / rows[t][h + t], over one denominator.
+    den = math.lcm(*(row[h + t] for t, row in enumerate(rows)))
+    w = []
+    for t, row in enumerate(rows):
+        f = den // row[h + t]
+        w.append({s: row[p] * f for s, p in enumerate(pivots[:d]) if p in row})
+        if t in unit:
+            w[t][unit[t]] = den
+    # Row n + t of the change of basis: [shift of the pivot at h + t, if it is one | W[t]], over den * lcm.
     lcm = math.lcm(*q[d:])
-    # Row n + t of the change of basis is sum_{s >= d} W[t][s] shift_s on the base columns, then W[t].
-    grid = [unit_vector(n + k, i) for i in range(n)]
+    grid: list[dict[int, int]] = [{i: den * lcm} for i in range(n)]
     for t, row in enumerate(w):
-        f = [(held[s], lcm // q[s] * row[k + s]) for s in range(d, k) if k + s in row]
-        shear = (sum(c * r.get(j, 0) for r, c in f) for j in range(psi, psi + n))
-        grid.append(tuple(Fraction(x, lcm * row[t]) if x else _ZERO for x in shear) + v_basis[t])
-    return SplitReport(
+        out = {n + s: x * lcm for s, x in row.items()}
+        if t in unit:
+            s = unit[t]
+            f = den * (lcm // q[s])
+            out.update((j - psi, x * f) for j, x in held[s].items() if j >= psi)
+        grid.append(out)
+    report = SplitReport(
         class_rank=d,
         abelian_dim=k - d,
-        v_basis=Matrix(v_basis, cols=k),
-        reduced=tuple(combine(spec.forms, _fractions(held[s], q[s], range(h, psi))) for s in range(d)),
-        section_shift=tuple(_fractions(held[s], q[s], range(psi, psi + n)) for s in range(d, k)),
-        change_of_basis=Matrix(grid, cols=n + k),
+        v_basis=Matrix._from_ints(w, den, k),
+        reduced=tuple(
+            _combine_ints(spec.forms, [held[s].get(h + t, 0) for t in range(k)], q[s]) for s in range(d)
+        ),
+        section_shift=tuple(
+            tuple(Fraction(held[s][j], q[s]) if j in held[s] else _ZERO for j in range(psi, psi + n))
+            for s in range(d, k)
+        ),
+        change_of_basis=Matrix._from_ints(grid, den * lcm, n + k),
     )
+    object.__setattr__(report, "_cocycles_of", base)
+    return report
 
 
-def _fractions(row: dict[int, int], q: int, cols: range) -> Vector:
-    """The entries of row / q in the given columns, as a dense vector."""
-    return tuple(Fraction(row[j], q) if j in row else _ZERO for j in cols)
+def _known_cocycles(spec: ExtensionSpec) -> None:
+    """Set `spec._cocycles` where the caller's own work has proved it, as `cached_property` would."""
+    spec.__dict__["_cocycles"] = spec.forms
 
 
 def reduced_spec(spec: ExtensionSpec, report: SplitReport) -> ExtensionSpec:
-    """The reduced cocycle padded with zero components to the original k."""
+    """The reduced cocycle padded with zero components to the original k.
+
+    When `reduce_extension` made the report over this base, the reduced
+    components are combinations of validated cocycles, and the result is
+    recorded as valid; a hand-built report's components are validated in
+    full when the result is used.
+    """
     zero = BilinearForm.zero(spec.base.dim)
-    return ExtensionSpec(spec.base, report.reduced + (zero,) * report.abelian_dim)
+    out = ExtensionSpec(spec.base, report.reduced + (zero,) * report.abelian_dim)
+    if report._cocycles_of is not None and report._cocycles_of == spec.base:
+        _known_cocycles(out)
+    return out
 
 
 def is_split(spec: ExtensionSpec) -> tuple[bool, Vector | None]:

@@ -13,10 +13,12 @@ rather than a distinction.
 
 Bracket images are compared on machine ints, against the integer
 structure constants of both algebras (`Algebra.table`).
-`verify_isomorphism` scales a witness by its common denominator into
-sparse integer rows and columns, rejects it as singular by the `Echelon`
-rank of the columns, and then scatters: one basis row at a time, each
-product of the target algebra is sent through the rows of the witness.
+`verify_isomorphism` reads a witness as sparse integer rows over its
+common denominator (`Matrix._int_rows`: kept by a matrix built from
+ints, as reduce and search matrices are, else derived once from `data`),
+rejects it as singular by the `Echelon` rank of the columns, and then
+scatters: one basis row at a time, each product of the target algebra
+is sent through the rows of the witness.
 The search filters its candidates pair by pair instead (`_brackets_match`),
 so a wrong candidate is dropped at its first failing pair, and every
 candidate that passes is built as a `Matrix` and re-verified by
@@ -51,7 +53,7 @@ from .core import (
     series_dims,
     squares_subspace,
 )
-from .linalg import Echelon, Matrix, common_denominator, inverse
+from .linalg import Echelon, Matrix, inverse
 
 SEARCH_SEED = 1729
 SEARCH_BUDGET = 10000
@@ -160,11 +162,11 @@ class IsoCheck:
 
 def _columns_matrix(cols: Columns) -> Matrix:
     n = len(cols)
-    rows = [[0] * n for _ in range(n)]
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
     for j, col in enumerate(cols):
         for r, x in col:
             rows[r][j] = x
-    return Matrix(rows, cols=n)
+    return Matrix._from_ints(rows, 1, n)
 
 
 def _brackets_match(a: Algebra, b: Algebra, cols: Columns, d: int) -> tuple[int, int] | None:
@@ -223,9 +225,9 @@ def verify_isomorphism(a: Algebra, b: Algebra, p: Matrix) -> IsoCheck:
     """Check that p maps a onto b: p([x, y]_a) = [p x, p y]_b, p invertible.
 
     Columns of p are the images of a's basis vectors in b's coordinates.
-    With P = d*p for the common denominator d of p, and integer products
-    C_a = D_a*c_a, C_b = D_b*c_b, the bracket condition at (i, j) reads
-    d*D_b*(P C_a[i,j]) = D_a * sum_{k,l} P_ki P_lj C_b[k,l].  It is
+    With P = d*p for the common denominator d of p (`p._int_rows()`), and
+    integer products C_a = D_a*c_a, C_b = D_b*c_b, the bracket condition
+    at (i, j) reads d*D_b*(P C_a[i,j]) = D_a * sum_{k,l} P_ki P_lj C_b[k,l].  It is
     checked one row i at a time: every product (k, l) of b with P_ki != 0
     is scattered through row l of P into the differences of all j at
     once, and a's products (i, j) are subtracted, so only the sums of one
@@ -237,9 +239,7 @@ def verify_isomorphism(a: Algebra, b: Algebra, p: Matrix) -> IsoCheck:
     n = a.dim
     if p.rows != n or p.cols != n:
         raise ValueError("change of basis must be %d x %d" % (n, n))
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in p.data]
-    d = common_denominator(x for row in rows for _, x in row)
-    rows = [[(j, x.numerator * (d // x.denominator)) for j, x in row] for row in rows]
+    rows, d = p._int_rows()
     cols: list[dict[int, int]] = [{} for _ in range(n)]
     for r, row in enumerate(rows):
         for j, x in row:

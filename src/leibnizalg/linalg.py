@@ -3,7 +3,11 @@
 The scalar type is `fractions.Fraction`: arbitrary-precision rationals,
 always in lowest terms with positive denominator, so every computation in
 this module is exact.  Matrices are immutable, row-major grids of
-Fractions.
+Fractions.  A matrix built from sparse int rows over one denominator
+(`Matrix._from_ints`) keeps those rows as its int view, so a consumer
+that works on ints, as `isomorphism.verify_isomorphism` does, need not
+clear the Fractions again; any other matrix derives that view from its
+entries on first use.
 
 Elimination has one kernel, `Echelon`, and it is fraction-free: rows
 are sparse dicts {column: int}, held primitive (content 1) with a
@@ -17,11 +21,12 @@ systems this package eliminates have n^3 integer rows over n^2 unknowns with
 only a few nonzeros per row, which is where the sparse rows pay.
 `rank`, `kernel_basis`, `inverse`, `core.Subspace.span`, the class
 echelon of `cohomology`, which also yields coboundary preimages, the
-class algebra of `extension.reduce_extension` and the singularity test
-of `isomorphism.verify_isomorphism` all go through it.  Bareiss
-elimination (`integer_rank`) on dense int grids serves only the rank
-sequences of powers of a matrix (Jordan types), where it is faster on
-those small dense grids.  `core` builds those grids as ints straight
+class algebra of `extension.reduce_extension` (one echelon per call,
+whose pivot entries also give the inverse of its row operations) and
+the singularity test of `isomorphism.verify_isomorphism` all go through
+it.  Bareiss elimination (`integer_rank`) on dense int grids serves
+only the rank sequences of powers of a matrix (Jordan types), where it
+is faster on those small dense grids.  `core` builds those grids as ints straight
 from an algebra's integer structure constants; `integer_grid` clears
 the denominators of a `Matrix` for the same rank sequence.
 
@@ -47,6 +52,8 @@ from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
+# The rows of a matrix times a common denominator: the nonzero (column, int) pairs of each row.
+IntRows = tuple[tuple[tuple[int, int], ...], ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -89,10 +96,12 @@ class Matrix:
     are kept as they are; anything else goes through `frac`, so floats and
     exponent literals are refused.  An explicit `cols` count is required
     when constructing a matrix with zero rows, since the width cannot be
-    inferred.
+    inferred.  `_int_rows` is an int view of `data`: a matrix built by
+    `_from_ints` keeps the rows it was built from, any other derives it
+    on first use.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_ints")
 
     def __init__(self, data: Iterable[Iterable[int | str | Fraction]], cols: int | None = None):
         grid = tuple(tuple(x if type(x) is Fraction else frac(x) for x in row) for row in data)
@@ -108,6 +117,38 @@ class Matrix:
         self.data: tuple[Vector, ...] = grid
         self.rows: int = len(grid)
         self.cols: int = cols
+        self._ints: tuple[IntRows, int] | None = None
+
+    @staticmethod
+    def _from_ints(rows: Sequence[Mapping[int, int]], den: int, cols: int) -> "Matrix":
+        """The matrix rows / den, from sparse int rows {column: int} over one nonzero den.
+
+        The rows are put over the least common denominator of the entries,
+        in column order, and kept as the int view; `data` is derived from
+        them, so the two cannot disagree.
+        """
+        g = math.gcd(den, *(x for row in rows for x in row.values()))
+        if den < 0:
+            g = -g
+        den //= g
+        ints = tuple(tuple((j, x // g) for j, x in sorted(row.items()) if x) for row in rows)
+        grid = []
+        for row in ints:
+            v = [_ZERO] * cols
+            for j, x in row:
+                v[j] = Fraction(x, den) if den != 1 else Fraction(x)
+            grid.append(tuple(v))
+        m = Matrix.__new__(Matrix)
+        m.data, m.rows, m.cols, m._ints = tuple(grid), len(grid), cols, (ints, den)
+        return m
+
+    def _int_rows(self) -> tuple[IntRows, int]:
+        """The rows times their least common denominator d, as sparse (column, int) pairs, and d."""
+        if self._ints is None:
+            rows = [[(j, x) for j, x in enumerate(row) if x] for row in self.data]
+            d = common_denominator(x for row in rows for _, x in row)
+            self._ints = (tuple(tuple((j, x.numerator * (d // x.denominator)) for j, x in row) for row in rows), d)
+        return self._ints
 
     @staticmethod
     def identity(n: int) -> "Matrix":

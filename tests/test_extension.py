@@ -1,5 +1,6 @@
 """Central extensions: construction, centrality, splitting, rebuild."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from leibnizalg.core import (
 )
 from leibnizalg.extension import (
     InvalidCocycleError,
+    SplitReport,
     adjoined_subspace,
     central_extension,
     centrality_report,
@@ -35,7 +37,7 @@ from leibnizalg.extension import (
     validate_cocycle,
 )
 from leibnizalg.isomorphism import verify_isomorphism
-from leibnizalg.linalg import Matrix, vec
+from leibnizalg.linalg import Echelon, Matrix, vec
 
 
 def chain_top_form(n):
@@ -76,6 +78,72 @@ def test_reduce_rejects_invalid_second_component():
     assert exc.value.component == 2
     assert (exc.value.triple, exc.value.defect) == (expected.value.triple, expected.value.defect)
     assert str(exc.value) == str(expected.value)
+
+
+def raised_by_central_extension(spec):
+    with pytest.raises(InvalidCocycleError) as exc:
+        central_extension(spec)
+    return exc.value.component, exc.value.triple, exc.value.defect
+
+
+def test_central_extension_validates_every_spec_not_proved_valid():
+    base = catalog.make("F1", 5)
+    reps = cohomology_basis(base).representatives
+    bad = BilinearForm.singleton(5, 1, 3, "2/3")
+    forms = (reps[0], bad, reps[1])
+    with pytest.raises(InvalidCocycleError) as ref:
+        validate_cocycle(make_spec(base, *forms))
+    expected = (ref.value.component, ref.value.triple, ref.value.defect)
+    assert expected[0] == 2
+    # a fresh spec with a planted non-cocycle component
+    assert raised_by_central_extension(make_spec(base, *forms)) == expected
+    # a spec reduce_extension just refused: a failure is not memoised
+    refused = make_spec(base, *forms)
+    with pytest.raises(InvalidCocycleError):
+        reduce_extension(refused)
+    assert raised_by_central_extension(refused) == expected
+    assert raised_by_central_extension(refused) == expected
+    # a hand-built report holding a non-cocycle, and one copied by dataclasses.replace
+    valid = make_spec(base, reps[0], reps[1], reps[0].add(coboundary_generator(base, 2)))
+    report = reduce_extension(valid)
+    assert report.reduced and report.split
+    forged = SplitReport(report.class_rank, report.abelian_dim, report.v_basis,
+                         (bad,) + report.reduced[1:], report.section_shift, report.change_of_basis)
+    for fake in (forged, dataclasses.replace(report, reduced=forged.reduced)):
+        with pytest.raises(InvalidCocycleError) as ref:
+            validate_cocycle(reduced_spec(valid, fake))
+        assert raised_by_central_extension(reduced_spec(valid, fake)) == (
+            ref.value.component, ref.value.triple, ref.value.defect)
+    # a spec equal to one that was validated, built separately
+    assert raised_by_central_extension(make_spec(base, *refused.forms)) == expected
+
+
+def test_workload_call_sequence_does_one_class_reduction_per_component(monkeypatch):
+    rng = random.Random(5)
+    bases = [catalog.make(family, n) for family in ("F1", "F2") for n in (5, 6, 7, 8)]
+    echelons = {id(cohomology_basis(base).classes) for base in bases}
+    calls = []
+    real = Echelon.reduce_ints
+
+    def counting(self, row):
+        if id(self) in echelons:
+            calls.append(len(row))
+        return real(self, row)
+
+    monkeypatch.setattr(Echelon, "reduce_ints", counting)
+    for base in bases:
+        for k in range(1, 7):
+            spec = make_spec(base, *random_cocycle_forms(base, k, rng))
+            calls.clear()
+            report = reduce_extension(spec)
+            rebuilt = central_extension(reduced_spec(spec, report))
+            original = central_extension(spec)
+            assert verify_isomorphism(rebuilt, original, report.change_of_basis).ok
+            assert len(calls) == k
+            # an equal spec built separately is validated on its own
+            calls.clear()
+            assert central_extension(make_spec(base, *spec.forms)) == original
+            assert len(calls) == k
 
 
 def test_reduce_rejects_non_leibniz_base():

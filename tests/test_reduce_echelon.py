@@ -14,6 +14,13 @@ scatter of `verify_isomorphism` must also report the same failing pair
 in the reversed direction, inside each block of a reduce change of
 basis, where only one side of a pair has a product, and on conjugating
 witnesses up to dim 10.
+
+Reduce and search matrices are built from int rows (`Matrix._from_ints`)
+and keep them; those rows must be the ones their `data` gives, and
+`verify_isomorphism`, which reads them, must answer as it does on a
+matrix built from the same `data`, also after an int perturbation of the
+section shear or of the block W.  `reduce_extension` builds one
+`Echelon` per call: U^-1 is read off its pivots.
 """
 
 import random
@@ -80,10 +87,13 @@ def combination(draw, forms, dim):
 
 @st.composite
 def components(draw, a):
-    """0..6 cocycle components: cocycles, coboundaries, zeros, repeats and dependent ones."""
+    """0..8 cocycle components: cocycles, coboundaries, zeros, repeats and dependent ones.
+
+    dim HL^2 is at most 4 here, so k >= 5 puts more pivots in the unit block than in the class block.
+    """
     n = a.dim
     out = []
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(("cocycle", "coboundary", "zero", "repeat", "dependent")))
         if kind == "zero":
             out.append(BilinearForm.zero(n))
@@ -110,7 +120,7 @@ def test_reduce_extension_matches_fraction_oracle(data):
 @given(st.data())
 def test_reduce_extension_matches_fraction_oracle_on_random_cocycles(data):
     _, _, a = data.draw(members())
-    k = data.draw(st.integers(0, 6))
+    k = data.draw(st.integers(0, 8))
     spec = make_spec(a, *random_cocycle_forms(a, k, random.Random(data.draw(st.integers(0, 2**16)))))
     assert reduce_extension(spec) == fraction_reduce_extension(spec)
 
@@ -158,12 +168,13 @@ def test_reduce_extension_does_no_fraction_arithmetic_and_calls_no_rref_or_inver
         for name in ("rref", "inverse"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    monkeypatch.setattr(linalg.Echelon, "__init__", counting("Echelon", linalg.Echelon.__init__))
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__", "__neg__"):
         monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
     got = [reduce_extension(spec) for spec in specs]
     monkeypatch.undo()
-    assert calls == []
+    assert calls == ["Echelon"] * len(specs)  # one class algebra echelon each; U^-1 is read off its pivots
     assert got == expected
     assert not hasattr(linalg, "rref")
 
@@ -223,6 +234,7 @@ def test_verify_matches_bareiss_oracle_on_searched_witnesses(data):
     a = transform_algebra(src, q)
     result = search_isomorphism(a, src, budget=200, seed=data.draw(st.integers(0, 10**6)))
     assume(result.status == "found")
+    assert_int_view(result.matrix)
     assert assert_verify_matches(a, src, result.matrix).ok
     assert_verify_matches(a, src, perturbed(data.draw, result.matrix))
 
@@ -248,6 +260,43 @@ def test_verify_matches_bareiss_oracle_on_reduce_change_of_basis(data):
             q = Matrix(rows, cols=size)
             assert_verify_matches(rebuilt, original, q)
             assert_verify_matches(original, rebuilt, q)
+
+
+def assert_int_view(m):
+    """m was built from ints, and the int rows it keeps are those its `data` gives."""
+    assert m._ints is not None
+    assert m._int_rows() == Matrix(m.data, cols=m.cols)._int_rows()
+
+
+def assert_verify_reads_the_int_view(a, b, m):
+    assert_int_view(m)
+    check = verify_isomorphism(a, b, m)
+    assert check == verify_isomorphism(a, b, Matrix(m.data, cols=m.cols))
+    return check
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_verify_reads_the_int_view_of_reduce_matrices_as_it_reads_their_data(data):
+    _, _, a = data.draw(members())
+    spec = make_spec(a, *data.draw(components(a)))
+    report = reduce_extension(spec)
+    assert_int_view(report.v_basis)
+    rebuilt, original = central_extension(reduced_spec(spec, report)), central_extension(spec)
+    p = report.change_of_basis
+    assert assert_verify_reads_the_int_view(rebuilt, original, p).ok
+    assert_verify_reads_the_int_view(original, rebuilt, p)
+    n, size = a.dim, p.rows
+    if n and spec.k:
+        # perturbed as ints over p's denominator, in the section shear and in the block W
+        ints, den = p._int_rows()
+        for block in (range(n), range(n, size)):
+            rows = [dict(row) for row in ints]
+            r, c = data.draw(st.integers(n, size - 1)), data.draw(st.sampled_from(block))
+            rows[r][c] = rows[r].get(c, 0) + data.draw(st.integers(-3, 3).filter(bool))
+            q = Matrix._from_ints(rows, den, size)
+            assert_verify_reads_the_int_view(rebuilt, original, q)
+            assert_verify_reads_the_int_view(original, rebuilt, q)
 
 
 @settings(max_examples=40, deadline=None)
