@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import Algebra, Subspace, _span_int_rows
+from .core import Algebra, Subspace
 from .linalg import Echelon, Matrix, Vector, _exact_row, common_denominator, frac, rank, sparse
 
 _ZERO = Fraction(0)
@@ -335,7 +335,11 @@ def condition_matrix(a: Algebra) -> Matrix:
 
 @dataclass(frozen=True)
 class CochainSpace:
-    """A subspace of bilinear forms, held as flattened vectors in rref."""
+    """A subspace of bilinear forms, held as the rref of their flat entries in primitive ints.
+
+    A held row r with pivot p is the form's entries over their least
+    common denominator r[p], so `forms()` and `contains` build no Fraction.
+    """
 
     dim: int
     space: Subspace
@@ -345,10 +349,12 @@ class CochainSpace:
         return self.space.dim
 
     def forms(self) -> tuple[BilinearForm, ...]:
-        return tuple(BilinearForm.from_flat(self.dim, v) for v in self.space.basis)
+        return tuple(_form_over(self.dim, r[p], r) for p, r in sorted(self.space._echelon.held.items()))
 
     def contains(self, form: BilinearForm) -> bool:
-        return self.space.contains(form.flatten())
+        if form.dim != self.dim:
+            raise ValueError("form dimension %d against cochain dimension %d" % (form.dim, self.dim))
+        return not self.space._echelon.reduce_ints(form.entries)[0]
 
 
 @lru_cache(maxsize=None)
@@ -356,7 +362,7 @@ def cocycle_space(a: Algebra) -> CochainSpace:
     """ZL^2 with scalar coefficients: kernel of the condition system."""
     n = a.dim
     kernel = Echelon(n * n, (row for _, row in _condition_rows(a))).kernel()
-    return CochainSpace(n, Subspace.span(n * n, kernel))
+    return CochainSpace(n, Subspace(n * n, kernel))
 
 
 def _coboundary_rows(a: Algebra) -> list[dict[int, int]]:
@@ -389,7 +395,7 @@ def coboundary_generator(a: Algebra, m: int) -> BilinearForm:
 def coboundary_space(a: Algebra) -> CochainSpace:
     """BL^2 with scalar coefficients; its rank equals dim L^2."""
     n = a.dim
-    return CochainSpace(n, _span_int_rows(n * n, _coboundary_rows(a)))
+    return CochainSpace(n, Subspace(n * n, _coboundary_rows(a)))
 
 
 @dataclass(frozen=True)
@@ -437,8 +443,7 @@ def cohomology_basis(a: Algebra) -> CohomologyBasis:
     den = a.table.denominator
     classes = Echelon(last + 1, ({**row, last - m: den} for m, row in enumerate(_coboundary_rows(a)) if row))
     reps: list[BilinearForm] = []
-    for v in z.space.basis:
-        form = BilinearForm.from_flat(n, v)
+    for form in z.forms():
         residue, _ = classes.reduce_ints({**form.entries, width + len(reps): form.denominator})
         if any(p < width for p in residue):
             classes.insert(residue)

@@ -7,7 +7,9 @@ bilinear bracket satisfying the (right) Leibniz identity
 
 Everything downstream (lower central series, center, annihilators,
 characteristic sequence, natural gradation) is computed exactly with the
-rational linear algebra in `linalg`.  All values are immutable; the
+fraction-free elimination of `linalg`, and a subspace is stored once, as
+the `Echelon` of sparse int rows that span it (`Subspace`); its dense
+rref `basis` is a view.  All values are immutable; the
 module-level operations are pure functions, and the expensive structural
 ones are memoized on the algebra value.
 
@@ -37,7 +39,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .linalg import (
@@ -289,50 +291,76 @@ def check_leibniz(a: Algebra) -> list[LeibnizViolation]:
     return violations
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^ambient in canonical (rref) form.
+    """Subspace of Q^ambient, stored once: the fraction-free `Echelon` of a spanning set.
 
-    The basis rows are the reduced row echelon form of any spanning set,
-    so two equal subspaces compare equal structurally.
+    Its held rows, the rref as primitive ints, are unique, so equality and
+    the hash compare them; `basis`, the rref as dense `Fraction` rows, is
+    derived on each use and not kept.  `Subspace(ambient, rows)` spans
+    sparse rows {column: int or Fraction}, `span` dense vectors.  The
+    echelon is never changed after construction: subspaces are memoized.
     """
 
-    ambient: int
-    basis: tuple[Vector, ...]
-    pivots: tuple[int, ...]
+    __slots__ = ("ambient", "_echelon")
+
+    def __init__(self, ambient: int, rows: Iterable[Mapping[int, int | Fraction]]):
+        self.ambient = ambient
+        self._echelon = Echelon(ambient, rows)
 
     @staticmethod
     def span(ambient: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
-        e = Echelon(ambient, map(sparse, vectors))
-        return Subspace(ambient, e.dense_rows(), e.pivots)
+        return Subspace(ambient, map(sparse, vectors))
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
-        return Subspace.span(ambient, [unit_vector(ambient, i) for i in range(ambient)])
+        return Subspace(ambient, ({i: 1} for i in range(ambient)))
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The rref rows in pivot order, each with a 1 at its pivot."""
+        return self._echelon.dense_rows()
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return self._echelon.pivots
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._echelon.held)
 
-    @cached_property
-    def _echelon(self) -> Echelon:
-        return Echelon(self.ambient, map(sparse, self.basis))
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.ambient == other.ambient and self._echelon.held == other._echelon.held
+
+    def __hash__(self) -> int:
+        held = self._echelon.held
+        return hash((self.ambient, tuple((p, tuple(sorted(held[p].items()))) for p in sorted(held))))
+
+    def __repr__(self) -> str:
+        return "Subspace(ambient=%d, pivots=%r)" % (self.ambient, self.pivots)
+
+    def _check_ambient(self, size: int) -> None:
+        if size != self.ambient:
+            raise ValueError("ambient dimension %d against %d" % (size, self.ambient))
 
     def reduce(self, v: Sequence[Fraction]) -> Vector:
         """Residue of v after elimination against the rref basis."""
+        self._check_ambient(len(v))
         residue = self._echelon.reduce(sparse(v))
-        return tuple(residue.get(j, Fraction(0)) for j in range(len(v)))
+        return tuple(residue.get(j, _ZERO) for j in range(self.ambient))
 
     def contains(self, v: Sequence[Fraction]) -> bool:
+        self._check_ambient(len(v))
         return not self._echelon.reduce(sparse(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        self._check_ambient(other.ambient)
+        return not any(self._echelon.reduce_ints(row)[0] for row in other._echelon.held.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimensions differ")
-        return Subspace.span(self.ambient, self.basis + other.basis)
+        self._check_ambient(other.ambient)
+        return Subspace(self.ambient, [*self._echelon.held.values(), *other._echelon.held.values()])
 
 
 def complement_inside(outer: Subspace, inner: Subspace) -> tuple[Vector, ...]:
@@ -349,18 +377,11 @@ def complement_inside(outer: Subspace, inner: Subspace) -> tuple[Vector, ...]:
     return tuple(row for row, p in zip(outer.basis, outer.pivots) if p not in inner_pivots)
 
 
-def _span_int_rows(n: int, rows: Iterable[Mapping[int, int]]) -> Subspace:
-    """Span of sparse integer rows {column: int}; zero entries are dropped."""
-    e = Echelon(n, rows)
-    return Subspace(n, e.dense_rows(), e.pivots)
-
-
-def _right_brackets(a: Algebra, u: Sequence[Fraction]) -> list[dict[int, int]]:
-    """Sparse int rows proportional to [u, e_j], one per j with a nonzero bracket."""
-    xs, _ = _integer_vector(u)
+def _right_brackets(a: Algebra, u: Mapping[int, int]) -> list[dict[int, int]]:
+    """Sparse int rows proportional to [u, e_j] for a sparse int row u, one per j with a nonzero bracket."""
     rows: dict[int, dict[int, int]] = {}
     for (i, j), terms in a.table.products.items():
-        x = xs[i]
+        x = u.get(i)
         if x:
             row = rows.setdefault(j, {})
             for k, c in terms:
@@ -377,7 +398,7 @@ def lower_central_series(a: Algebra) -> tuple[Subspace, ...]:
     """
     series = [Subspace.full(a.dim)]
     while True:
-        nxt = _span_int_rows(a.dim, (row for u in series[-1].basis for row in _right_brackets(a, u)))
+        nxt = Subspace(a.dim, (r for u in series[-1]._echelon.held.values() for r in _right_brackets(a, u)))
         if nxt == series[-1]:
             break
         series.append(nxt)
@@ -434,7 +455,7 @@ def _stacked_kernel(a: Algebra, use_left: bool, use_right: bool) -> Subspace:
                 rows.setdefault((True, j, k), {})[i] = c
             if use_right:
                 rows.setdefault((False, i, k), {})[j] = c
-    return Subspace.span(a.dim, Echelon(a.dim, rows.values()).kernel())
+    return Subspace(a.dim, Echelon(a.dim, rows.values()).kernel())
 
 
 @lru_cache(maxsize=None)
@@ -466,7 +487,7 @@ def squares_subspace(a: Algebra) -> Subspace:
         row = rows.setdefault((min(i, j), max(i, j)), {})
         for k, c in terms:
             row[k] = row.get(k, 0) + c
-    return _span_int_rows(a.dim, rows.values())
+    return Subspace(a.dim, rows.values())
 
 
 def right_mult_operator(a: Algebra, x: Sequence[Fraction]) -> Matrix:
@@ -520,7 +541,8 @@ def jordan_type_nilpotent(m: Matrix) -> CharSeq:
     """
     if m.rows != m.cols:
         raise ValueError("Jordan type of a non-square matrix")
-    return _jordan_type_of_grid(linalg.integer_grid(m), m.rows)
+    grid = [[row.get(j, 0) for j in range(m.cols)] for row in map(dict, m._int_rows()[0])]
+    return _jordan_type_of_grid(grid, m.rows)
 
 
 def _jordan_type_of_grid(
@@ -632,24 +654,16 @@ def _charseq_probes(n: int) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
     return tuple((tuple(map(Fraction, ints)), ints) for ints in candidates if any(ints))
 
 
-def _quotient_functionals(space: Subspace) -> list[list[tuple[int, int]]]:
-    """Sparse integer functionals whose common kernel is `space`.
+def _probes_outside(space: Subspace) -> Iterator[tuple[Vector, tuple[int, ...]]]:
+    """The probes of `_charseq_probes` outside `space`, in sweep order.
 
-    One per free column c of the rref basis: x_c - sum_p row_p[c] x_p,
-    times the common denominator of its coefficients.
+    The int rows of its `Echelon.kernel` are functionals whose common
+    kernel is the space, so a probe is inside when each vanishes on it.
     """
-    functionals = []
-    pivots = set(space.pivots)
-    for c in range(space.ambient):
-        if c in pivots:
-            continue
-        f = {c: Fraction(1)}
-        for p, row in zip(space.pivots, space.basis):
-            if row[c]:
-                f[p] = -row[c]
-        den = common_denominator(f.values())
-        functionals.append([(k, v.numerator * (den // v.denominator)) for k, v in f.items()])
-    return functionals
+    functionals = space._echelon.kernel()
+    for x, ints in _charseq_probes(space.ambient):
+        if any(sum(ints[k] * v for k, v in f.items()) for f in functionals):
+            yield x, ints
 
 
 def _charseq_bound(a: Algebra) -> CharSeq:
@@ -696,12 +710,9 @@ def characteristic_sequence(a: Algebra) -> CharSeqWitness:
     # No block of R_x exceeds s - 1: R_x^k maps everything into L^{k+1}.
     target = _greedy_max_charseq(n, cap)
     bound = _charseq_bound(a)
-    quotient = _quotient_functionals(lower_central_series(a)[1])
     best: CharSeq | None = None
     witness: Vector | None = None
-    for x, ints in _charseq_probes(n):
-        if not any(sum(ints[k] * v for k, v in f) for f in quotient):
-            continue  # x lies in L^2
+    for x, ints in _probes_outside(lower_central_series(a)[1]):
         seq = _jordan_type_of_grid(_right_mult_grid(a, ints), n, best, cap)
         if seq is not None:
             best, witness = seq, x

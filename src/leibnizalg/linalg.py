@@ -15,20 +15,21 @@ positive pivot entry, so each is a positive multiple of its reduced row.
 An incoming row of ints or Fractions has its denominators cleared once,
 is reduced against the pivot rows already found, its leftmost nonzero
 column becomes a new pivot, and that column is eliminated from the
-earlier pivot rows; `Fraction`s appear only at the boundary, where a
-reduced row, a kernel vector or a residue is handed back.  The cocycle
+earlier pivot rows; `Fraction`s appear only where a reduced row, a
+residue or a `kernel_basis` vector is handed back.  The cocycle
 systems this package eliminates have n^3 integer rows over n^2 unknowns with
 only a few nonzeros per row, which is where the sparse rows pay.
-`rank`, `kernel_basis`, `inverse`, `core.Subspace.span`, the class
+`rank`, `kernel_basis`, `inverse`, `core.Subspace`, the class
 echelon of `cohomology`, which also yields coboundary preimages, the
 class algebra of `extension.reduce_extension` (one echelon per call,
 whose pivot entries also give the inverse of its row operations) and
 the singularity test of `isomorphism.verify_isomorphism` all go through
 it.  Bareiss elimination (`integer_rank`) on dense int grids serves
-only the rank sequences of powers of a matrix (Jordan types), where it
-is faster on those small dense grids.  `core` builds those grids as ints straight
-from an algebra's integer structure constants; `integer_grid` clears
-the denominators of a `Matrix` for the same rank sequence.
+only the rank sequences of powers of a matrix (Jordan types): on the
+5-8-dimensional dense grids of the characteristic sequence, whose sweep
+mostly stops at the first rank, that rank took 9-24 us against 28-62 us
+by `Echelon` on a 2-vCPU host.  `core` builds those grids as ints, from
+an algebra's integer table or from `Matrix._int_rows`.
 
 Determinism conventions, relied on throughout the package:
 
@@ -261,8 +262,8 @@ class Echelon:
     primitive with a positive leading entry, and eliminates that new pivot
     column from the earlier rows; it is `reduce_ints`, which returns the
     int residue with the factor it was scaled by, followed by `insert`.
-    Elimination runs on ints only; `rows`, `dense_rows` and `kernel`
-    divide by the pivot, and `reduce` by the scale it tracked, where a
+    Elimination runs on ints only, and so does `kernel`; `dense_rows`
+    divides by the pivot, and `reduce` by the scale it tracked, where a
     Fraction is handed back.
 
     The rows given to the constructor are added lightest first, as in
@@ -341,11 +342,6 @@ class Echelon:
     def pivots(self) -> tuple[int, ...]:
         return tuple(sorted(self.held))
 
-    @property
-    def rows(self) -> dict[int, dict[int, Fraction]]:
-        """The reduced rows {pivot: {column: Fraction}}, each with a 1 at its pivot."""
-        return {p: {j: Fraction(x, row[p]) for j, x in row.items()} for p, row in self.held.items()}
-
     def dense_rows(self) -> tuple[Vector, ...]:
         """The reduced rows in pivot order, as dense vectors."""
         out = []
@@ -361,23 +357,19 @@ class Echelon:
             out.append(tuple(v))
         return tuple(out)
 
-    def kernel(self) -> tuple[Vector, ...]:
-        """Basis of {v : row . v = 0 for every row}, in free-column order.
+    def kernel(self) -> tuple[dict[int, int], ...]:
+        """Basis of {v : row . v = 0 for every row}, in free-column order, as sparse int rows.
 
-        Each vector has a 1 in its free coordinate and zeros in the other
-        free coordinates.
+        Each row is primitive, positive at its free coordinate and zero at
+        the other free coordinates.
         """
-        basis: list[Vector] = []
+        basis = []
         for free in range(self.cols):
             if free in self.held:
                 continue
-            v = [_ZERO] * self.cols
-            v[free] = _ONE
-            for p, row in self.held.items():
-                x = row.get(free)
-                if x:
-                    v[p] = Fraction(-x, row[p])
-            basis.append(tuple(v))
+            terms = [(p, row[p], x) for p, row in self.held.items() if (x := row.get(free))]
+            scale = math.lcm(*(q // math.gcd(q, x) for _, q, x in terms))
+            basis.append({free: scale, **{p: -x * scale // q for p, q, x in terms}})
         return tuple(basis)
 
 
@@ -398,8 +390,10 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
-    """Basis of the right null space {v : m v = 0}, as `Echelon.kernel`."""
-    return _echelon(m).kernel()
+    """Basis of the right null space {v : m v = 0}, as `Echelon.kernel` with a 1 at each free coordinate."""
+    e = _echelon(m)
+    frees = [c for c in range(m.cols) if c not in e.held]
+    return tuple(tuple(Fraction(v.get(j, 0), v[f]) for j in range(m.cols)) for f, v in zip(frees, e.kernel()))
 
 
 def inverse(m: Matrix) -> Matrix | None:
@@ -421,17 +415,6 @@ def common_denominator(values: Iterable[Fraction]) -> int:
         if d != 1:
             den = den // math.gcd(den, d) * d
     return den
-
-
-def integer_grid(m: Matrix) -> list[list[int]]:
-    """The entries times their least common denominator, as plain ints.
-
-    A nonzero multiple has the same rank as m, and its powers the same
-    ranks as the powers of m, so rank sequences can use fraction-free
-    elimination, which is much cheaper than Fraction arithmetic.
-    """
-    scale = common_denominator(x for row in m.data for x in row)
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in m.data]
 
 
 def integer_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -29,6 +29,11 @@ scatter of `verify_isomorphism` had replaced it).  They are kept
 verbatim apart from their names, as references for the int echelons and
 the scatter that replaced them.
 
+`integer_grid` is the earlier `linalg.integer_grid`, moved here once
+`core.jordan_type_nilpotent` read its grid off `Matrix._int_rows`: the
+dense int grid of a `Matrix`, for the Bareiss checks here and in the
+tests.
+
 `flag_breaking_change` draws a basis change that is a lower times a
 unit upper triangular matrix.  A triangular basis keeps the flag
 span(e_j, ..., e_n), so code that depends on column order would still
@@ -51,7 +56,6 @@ from leibnizalg.linalg import (
     _echelon,
     common_denominator,
     frac,
-    integer_grid,
     integer_rank,
     inverse,
     sparse,
@@ -272,6 +276,17 @@ def fraction_reduce_extension(spec) -> SplitReport:
         section_shift=tuple(shifts),
         change_of_basis=Matrix.from_columns(columns),
     )
+
+
+def integer_grid(m: Matrix) -> list[list[int]]:
+    """The entries times their least common denominator, as plain ints.
+
+    A nonzero multiple has the same rank as m, and its powers the same
+    ranks as the powers of m, so rank sequences can use fraction-free
+    elimination, which is much cheaper than Fraction arithmetic.
+    """
+    scale = common_denominator(x for row in m.data for x in row)
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in m.data]
 
 
 def _integer_columns(p: Matrix) -> tuple[Columns, int]:

@@ -22,7 +22,8 @@ from leibnizalg.cohomology import (
     preferred_cohomology_basis,
 )
 from leibnizalg.core import abelian_algebra, bracket
-from leibnizalg.linalg import rank, vec
+from leibnizalg.isomorphism import transform_algebra
+from leibnizalg.linalg import Echelon, Matrix, rank, vec
 
 
 def test_form_evaluate_and_support():
@@ -72,6 +73,33 @@ def test_cohomology_class_rejects_form_of_wrong_dimension(dim):
     a = catalog.make("NF", 3)
     with pytest.raises(ValueError, match="form dimension %d against algebra dimension 3" % dim):
         cohomology_class(a, BilinearForm.singleton(dim, dim, dim))
+
+
+@pytest.mark.parametrize("dim", [3, 6])
+def test_cochain_space_refuses_form_of_wrong_dimension(dim):
+    z = cocycle_space(catalog.make("F1", 5))
+    with pytest.raises(ValueError, match="form dimension %d against cochain dimension 5" % dim):
+        z.contains(BilinearForm.singleton(dim, 1, 1))
+
+
+def test_cocycle_and_cohomology_basis_stay_int(monkeypatch):
+    # ZL^2 is spanned from the int kernel rows and its forms are read off
+    # the held rows, so neither the dense rref nor a Fraction round trip
+    # through `from_flat` is built, in a dense rational basis too.
+    lower = Matrix([[1, 0, 0, 0, 0], [1, -1, 0, 0, 0], [0, 1, 1, 0, 0], [1, 0, 1, -1, 0], [0, 1, 0, 1, 1]])
+    upper = Matrix([[Fraction(1, 2) if j == i else int(j > i) for j in range(5)] for i in range(5)])
+    a = transform_algebra(catalog.make("F1", 5), lower @ upper)
+    expected = cohomology_basis(a)
+
+    def refuse(*args):
+        raise AssertionError("Fraction round trip")
+
+    monkeypatch.setattr(BilinearForm, "from_flat", staticmethod(refuse))
+    monkeypatch.setattr(Echelon, "dense_rows", refuse)
+    z = cocycle_space.__wrapped__(a)
+    basis = cohomology_basis.__wrapped__(a)
+    assert z == expected.cocycles
+    assert basis.representatives == expected.representatives
 
 
 def test_coboundary_generators_are_coboundaries_of_bracket():

@@ -36,6 +36,7 @@ from leibnizalg.core import (
 )
 from leibnizalg.isomorphism import transform_algebra
 from leibnizalg.linalg import Matrix, inverse, unit_vector, vec
+from oracles import integer_grid
 
 
 def chain(n):
@@ -206,7 +207,7 @@ def test_rank_chain_with_a_floor_returns_only_types_above_it():
                     for i in range(start, start + p - 1):
                         shift[i + 1][i] = Fraction(1)
                     start += p
-                grid = linalg.integer_grid(q_inv @ Matrix(shift, cols=n) @ q)
+                grid = integer_grid(q_inv @ Matrix(shift, cols=n) @ q)
                 assert _jordan_type_of_grid(grid, n) == CharSeq(parts)
                 for floor in types:
                     expected = CharSeq(parts) if parts > floor else None
@@ -249,6 +250,17 @@ def test_subspace_sum_and_reduce():
     assert u.dim == 2
     assert u.reduce(vec([2, 3, 5])) == vec([0, 0, 5])
     assert u.contains_subspace(s)
+
+
+def test_subspace_refuses_vectors_and_subspaces_of_another_ambient():
+    s = Subspace.span(3, [vec([1, 0, 0])])
+    for v in (vec([1, 0]), vec([1, 0, 0, 0])):
+        with pytest.raises(ValueError, match="ambient dimension %d against 3" % len(v)):
+            s.contains(v)
+        with pytest.raises(ValueError, match="ambient dimension %d against 3" % len(v)):
+            s.reduce(v)
+    with pytest.raises(ValueError, match="ambient dimension 2 against 3"):
+        s.contains_subspace(Subspace.full(2))
 
 
 small_coeff = st.integers(min_value=-2, max_value=2)

@@ -14,14 +14,13 @@ from leibnizalg.core import Subspace
 from leibnizalg.linalg import (
     Matrix,
     frac,
-    integer_grid,
     integer_rank,
     inverse,
     kernel_basis,
     rank,
     vec,
 )
-from oracles import rref, solve
+from oracles import integer_grid, rref, solve
 
 
 def test_frac_accepts_ints_strings_fractions():

@@ -8,7 +8,10 @@ to a 1 at each pivot; the fraction-free integer `Echelon` must return
 exactly what it returned.  `oracle_cohomology_representatives` is the
 earlier `cohomology_basis` loop, which re-spanned BL^2 plus the kept
 candidates for every candidate, and `oracle_jordan_ranks` the earlier
-Fraction branch of `jordan_type_nilpotent`.  They live here only, as
+Fraction branch of `jordan_type_nilpotent`.  `oracle_span` is the dense
+rref (basis, pivots) that the earlier `core.Subspace` stored and
+compared; `Subspace`, which now stores only its int `Echelon`, must
+compare, contain and sum as that did.  They live here only, as
 references for the single elimination loop in `linalg.Echelon` and for
 the fraction-free rank sequence.  `solve` and `rref`, the earlier
 sparse `linalg.solve` and `linalg.rref` kept in `oracles`, are checked
@@ -18,24 +21,37 @@ their catalog basis or in a flag-breaking one (`flag_breaking_change`),
 integer or rational.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from leibnizalg import catalog
 from leibnizalg.cohomology import (
+    _condition_rows,
     coboundary_generator,
+    coboundary_space,
     cocycle_space,
     cohomology_basis,
     condition_matrix,
 )
-from leibnizalg.core import Subspace, jordan_type_nilpotent
+from leibnizalg.core import (
+    Subspace,
+    _charseq_probes,
+    _probes_outside,
+    center,
+    jordan_type_nilpotent,
+    left_annihilator,
+    lower_central_series,
+    right_annihilator,
+    squares_subspace,
+)
 from leibnizalg.isomorphism import transform_algebra
-from leibnizalg.linalg import Echelon, Matrix, Vector, inverse, kernel_basis, rank
+from leibnizalg.linalg import Echelon, Matrix, Vector, inverse, kernel_basis, rank, sparse
 from oracles import flag_breaking_change, rref, solve
 
 _ZERO = Fraction(0)
@@ -118,11 +134,12 @@ def oracle_inverse(m):
 
 
 def oracle_span(ambient, vectors):
+    """The dense rref rows and pivots of a span, which the earlier `Subspace` held and compared."""
     rows = [tuple(v) for v in vectors if any(v)]
     if not rows:
-        return Subspace(ambient, (), ())
+        return (), ()
     reduced, pivots = oracle_rref(Matrix(rows, cols=ambient))
-    return Subspace(ambient, tuple(row for row in reduced.data if any(row)), pivots)
+    return reduced.data[: len(pivots)], pivots
 
 
 def oracle_cohomology_representatives(a):
@@ -131,9 +148,9 @@ def oracle_cohomology_representatives(a):
     b = oracle_span(n * n, [coboundary_generator(a, m).flatten() for m in range(n)])
     current = b
     reps = []
-    for v in z.basis:
-        extended = oracle_span(n * n, current.basis + (v,))
-        if extended.dim > current.dim:
+    for v in z[0]:
+        extended = oracle_span(n * n, current[0] + (v,))
+        if len(extended[1]) > len(current[1]):
             reps.append(v)
             current = extended
     return z, b, tuple(reps)
@@ -277,12 +294,27 @@ def assert_held_rows_canonical(e):
         assert not (set(row) & set(e.held)) - {p}
 
 
+def scaled_kernel(e):
+    """`Echelon.kernel` as dense vectors with a 1 at each free coordinate.
+
+    Each int row must be primitive, positive at its free coordinate and
+    zero at the other free coordinates.
+    """
+    frees = [c for c in range(e.cols) if c not in e.held]
+    basis = e.kernel()
+    assert len(basis) == len(frees)
+    for free, v in zip(frees, basis):
+        assert all(type(x) is int and x for x in v.values())
+        assert math.gcd(*v.values()) == 1 and v[free] > 0
+        assert not set(v) & set(frees) - {free}
+    return tuple(tuple(Fraction(v.get(j, 0), v[free]) for j in range(e.cols)) for free, v in zip(frees, basis))
+
+
 def assert_same_echelon(e, oracle):
     assert_held_rows_canonical(e)
     assert e.pivots == oracle.pivots
-    assert e.rows == oracle.rows
     assert e.dense_rows() == oracle.dense_rows()
-    assert e.kernel() == oracle.kernel()
+    assert scaled_kernel(e) == oracle.kernel()
 
 
 @settings(max_examples=300, deadline=None)
@@ -418,6 +450,64 @@ def test_condition_system_matches_dense_oracle(a):
     system = condition_matrix(a)
     assert rref(system) == oracle_rref(system)
     assert kernel_basis(system) == oracle_kernel_basis(system)
+    rows = [row for _, row in _condition_rows(a)]
+    assert scaled_kernel(Echelon(system.cols, rows)) == OracleEchelon(system.cols, map(as_fractions, rows)).kernel()
+
+
+def member_subspaces(a):
+    """The lower central series, center, both annihilators, squares, ZL^2 and BL^2."""
+    return [
+        *lower_central_series(a),
+        center(a),
+        left_annihilator(a),
+        right_annihilator(a),
+        squares_subspace(a),
+        cocycle_space(a).space,
+        coboundary_space(a).space,
+    ]
+
+
+@st.composite
+def respanned(draw, basis, ambient):
+    """Another spanning set of the rows: each scaled and given +-1 of the later rows, plus a zero row."""
+    vectors = [(_ZERO,) * ambient]
+    for i, v in enumerate(basis):
+        c = draw(kernel_scalars)
+        w = [c * x for x in v]
+        for u in basis[i + 1 :]:
+            d = draw(st.sampled_from((0, 1, -1)))
+            w = [x + d * y for x, y in zip(w, u)]
+        vectors.append(tuple(w))
+    return draw(st.permutations(vectors))
+
+
+@settings(max_examples=30, deadline=None)
+@given(members(), st.data())
+def test_subspaces_compare_as_their_dense_rref(a, data):
+    spaces = member_subspaces(a)
+    dense = []
+    for s in spaces:
+        vectors = data.draw(respanned(s.basis, s.ambient))
+        dense.append(oracle_span(s.ambient, vectors))
+        assert (s.basis, s.pivots) == dense[-1]
+        t = Subspace.span(s.ambient, vectors)
+        assert t == s and hash(t) == hash(s)
+        assert scaled_kernel(s._echelon) == OracleEchelon(s.ambient, map(sparse, vectors)).kernel()
+    for (s, ds), (t, dt) in itertools.product(zip(spaces, dense), repeat=2):
+        if s.ambient == t.ambient:
+            both = oracle_span(s.ambient, ds[0] + dt[0])
+            assert (s == t) == (ds == dt)
+            assert s.contains_subspace(t) == (both == ds)
+            assert (s.sum(t).basis, s.sum(t).pivots) == both
+
+
+@settings(max_examples=30, deadline=None)
+@given(members())
+def test_charseq_probes_outside_the_derived_algebra(a):
+    assume(a.dim)
+    derived = lower_central_series(a)[1]
+    expected = [x for x, _ in _charseq_probes(a.dim) if not derived.contains(x)]
+    assert [x for x, _ in _probes_outside(derived)] == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -425,8 +515,9 @@ def test_condition_system_matches_dense_oracle(a):
 def test_cohomology_basis_matches_span_per_candidate_loop(a):
     z, b, reps = oracle_cohomology_representatives(a)
     basis = cohomology_basis(a)
-    assert basis.cocycles.space == cocycle_space(a).space == z
-    assert basis.coboundaries.space == b
+    assert basis.cocycles.space == cocycle_space(a).space
+    assert (basis.cocycles.space.basis, basis.cocycles.space.pivots) == z
+    assert (basis.coboundaries.space.basis, basis.coboundaries.space.pivots) == b
     assert tuple(rep.flatten() for rep in basis.representatives) == reps
 
 
