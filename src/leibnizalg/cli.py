@@ -7,7 +7,6 @@ error, 3 unreadable or malformed input file.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -24,6 +23,7 @@ from .files import (
     FileFormatError,
     algebra_to_dict,
     dumps_canonical,
+    matrix_to_dict,
     read_algebra_file,
     read_cocycle_file,
     read_matrix_file,
@@ -45,7 +45,7 @@ class CheckFailed(Exception):
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        sys.stdout.write(dumps_canonical(payload))
     else:
         print(text)
 
@@ -271,9 +271,7 @@ def _cmd_iso_search(args: argparse.Namespace) -> int:
     _require_valid(a, meta_a.get("name", args.a))
     _require_valid(b, meta_b.get("name", args.b))
     result = search_isomorphism(a, b, budget=args.budget, seed=args.seed)
-    matrix = None
-    if result.matrix is not None:
-        matrix = [[str(x) for x in row] for row in result.matrix.data]
+    matrix = matrix_to_dict(result.matrix)["entries"] if result.matrix is not None else None
     payload = {
         "status": result.status,
         "matrix": matrix,

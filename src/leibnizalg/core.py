@@ -17,10 +17,12 @@ An algebra stores its structure constants in one form, the canonical
 integer table (`Algebra.table`): the least common denominator D of the
 structure constants and the nonzero products D*c as plain ints, keyed by
 basis pair.  Every constructor hands 1-based (i, j, k, c) records, the
-same records `Algebra.products()` yields and files carry, to the one
-function that makes that table, `_from_records`; only
-`extension.central_extension` puts its table together from the base's
-table and the cocycle's int entries, in the same canonical order.
+same records `Algebra.products()` yields, to `_from_records`, the
+`Fraction` front of the one function that makes that table,
+`_from_int_records`; `files` reads a document straight into int records
+for it.  Only `extension.central_extension` puts its table together from
+the base's table and the cocycle's int entries, in the same canonical
+order.
 Brackets, the Leibniz
 check, the lower central series, the center, annihilator and squares
 systems and the right multiplication grids of the characteristic
@@ -179,26 +181,42 @@ class Algebra:
                 yield (i + 1, j + 1, k + 1, Fraction(c, den))
 
 
+def _from_int_records(
+    dim: int,
+    records: Iterable[tuple[int, int, int, int, int]],
+    labels: Sequence[str] | None = None,
+    checked: bool = False,
+) -> Algebra:
+    """The algebra whose structure constants are 1-based (i, j, k, p, q) records, c = p/q.
+
+    The one builder of `Algebra.table`.  Each (i, j, k) occurs at most
+    once and omitted ones are zero; p/q is in lowest terms with q > 0.
+    Zero records are dropped, the rest sorted into (i, j) sweep order with
+    k ascending and put over their least common denominator, so equal
+    constants give equal tables whatever order they came in.
+    """
+    nonzero = sorted(record for record in records if record[3])
+    den = math.lcm(*(q for *_, q in nonzero))
+    products: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, j, k, p, q in nonzero:
+        products.setdefault((i - 1, j - 1), []).append((k - 1, p * (den // q)))
+    table = IntegerTable(den, {key: tuple(terms) for key, terms in products.items()})
+    return Algebra(dim, table, tuple(labels) if labels is not None else None, checked)
+
+
 def _from_records(
     dim: int,
     records: Iterable[tuple[int, int, int, Fraction]],
     labels: Sequence[str] | None = None,
     checked: bool = False,
 ) -> Algebra:
-    """The algebra whose structure constants are 1-based (i, j, k, c) records.
+    """The algebra whose structure constants are 1-based (i, j, k, c) records, c rational.
 
-    Each (i, j, k) occurs at most once and omitted ones are zero.  Zero
-    records are dropped, the rest sorted into (i, j) sweep order with k
-    ascending and put over their least common denominator, so equal
-    constants give equal tables whatever order they came in.
+    `_from_int_records` on each c as its lowest terms.
     """
-    nonzero = sorted((i - 1, j - 1, k - 1, c) for i, j, k, c in records if c)
-    den = common_denominator(c for *_, c in nonzero)
-    products: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, j, k, c in nonzero:
-        products.setdefault((i, j), []).append((k, c.numerator * (den // c.denominator)))
-    table = IntegerTable(den, {key: tuple(terms) for key, terms in products.items()})
-    return Algebra(dim, table, tuple(labels) if labels is not None else None, checked)
+    return _from_int_records(
+        dim, ((i, j, k, c.numerator, c.denominator) for i, j, k, c in records), labels, checked
+    )
 
 
 def algebra_from_products(
@@ -258,37 +276,71 @@ def bracket(a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
     return _rational_vector(acc, dx * dy * a.table.denominator)
 
 
+def _products_by_row(a: Algebra) -> list[list[tuple[int, tuple[tuple[int, int], ...]]]]:
+    """a's integer products grouped by their first index: row i lists (j, terms of [e_i, e_j])."""
+    out = [[] for _ in range(a.dim)]
+    for (i, j), terms in a.table.products.items():
+        out[i].append((j, terms))
+    return out
+
+
 def check_leibniz(a: Algebra) -> list[LeibnizViolation]:
-    """All violating basis triples, 1-based, with their defect vectors.
+    """All violating basis triples, 1-based, in (i, j, k) order, with their defect vectors.
 
     The defect of (e_i, e_j, e_k) is [e_i,[e_j,e_k]] - [[e_i,e_j],e_k]
     + [[e_i,e_k],e_j]; on the integer products it comes out times D^2.
+    It is scattered one first index i at a time, over pairs of nonzero
+    products only: each product [e_i, e_m] meets every product with e_m
+    in its target, which gives the first term of all (j, k) at once, and
+    each product [e_i, e_x] with coefficient c on e_m meets every product
+    [e_m, e_y], which gives the second term at (x, y) and the third at
+    (y, x).  Only the sums of one i are held, in one flat int dict, and a
+    triple whose sum is zero is no violation, so the result is that of
+    the sweep over all n^3 triples.
     """
     n = a.dim
     table = a.table
-    get = table.products.get
+    by_left = _products_by_row(a)
+    by_target: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # m -> ((j*n + k)*n, coefficient of e_m)
+    for (j, k), terms in table.products.items():
+        for m, c in terms:
+            by_target[m].append(((j * n + k) * n, c))
+    scale = table.denominator**2
     violations = []
     for i in range(n):
-        for j in range(n):
-            ij = get((i, j), ())
-            for k in range(n):
-                jk, ik = get((j, k), ()), get((i, k), ())
-                if not (jk or ij or ik):
-                    continue
-                acc = [0] * n
-                for m, c in jk:
-                    for t, s in get((i, m), ()):
-                        acc[t] += c * s
-                for m, c in ij:
-                    for t, s in get((m, k), ()):
-                        acc[t] -= c * s
-                for m, c in ik:
-                    for t, s in get((m, j), ()):
-                        acc[t] += c * s
-                if any(acc):
-                    defect = _rational_vector(acc, table.denominator**2)
-                    violations.append(LeibnizViolation(i + 1, j + 1, k + 1, defect))
+        sums: dict[int, int] = {}  # (j*n + k)*n + t -> entry t of the defect at (i, j, k)
+        get = sums.get
+        for m, terms in by_left[i]:
+            for jk, c in by_target[m]:
+                for t, s in terms:
+                    sums[jk + t] = get(jk + t, 0) + c * s
+        for x, terms in by_left[i]:
+            for m, c in terms:
+                for y, products in by_left[m]:
+                    if y == x:  # the second and third terms cancel
+                        continue
+                    minus, plus = (x * n + y) * n, (y * n + x) * n
+                    for t, s in products:
+                        f = c * s
+                        sums[minus + t] = get(minus + t, 0) - f
+                        sums[plus + t] = get(plus + t, 0) + f
+        defect: list[int] = []
+        last = -1
+        for key in sorted(key for key, v in sums.items() if v):
+            jk, t = divmod(key, n)
+            if jk != last:
+                if defect:
+                    violations.append(_violation(i, last, n, defect, scale))
+                defect, last = [0] * n, jk
+            defect[t] = sums[key]
+        if defect:
+            violations.append(_violation(i, last, n, defect, scale))
     return violations
+
+
+def _violation(i: int, jk: int, n: int, defect: list[int], scale: int) -> LeibnizViolation:
+    j, k = divmod(jk, n)
+    return LeibnizViolation(i + 1, j + 1, k + 1, _rational_vector(defect, scale))
 
 
 class Subspace:

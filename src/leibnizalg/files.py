@@ -1,38 +1,64 @@
 """JSON file formats for algebras, cocycles, and matrices.
 
-All rational values are carried as strings ("−3/2" style literals) so no
-float ever enters the exact pipeline; they are parsed by `linalg.frac`,
-which refuses literals with an exponent.  Writers emit a canonical form:
-records sorted by index, rationals normalized, two-space indentation, a
-trailing newline.  Reading a canonical file and writing it back is
-bit-identical.
+All rational values are carried as strings ("−3/2" style literals) or
+JSON integers, so no float ever enters the exact pipeline.  Each literal
+is parsed by `linalg.parse_rational` into an int pair in lowest terms
+(plain "-?digits" and "-?digits/digits" directly, anything else through
+`Fraction`, with exponents refused).  An algebra document is validated
+record by record, once, and its int records go straight to the table
+builder `core._from_int_records`; reading one of plain literals builds
+no `Fraction`.  Writers emit a canonical form: records sorted by index,
+rationals in lowest terms, two-space indentation, a trailing newline.
+An algebra is written from its integer table in stored order, each
+constant reduced by one gcd, and `dumps_canonical` writes the JSON
+itself, byte for byte what `json.dumps(payload, indent=2)` gives plus a
+newline.  Reading a canonical file and writing it back is bit-identical.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
 from . import core
 from .cohomology import BilinearForm, _form_from_rationals
-from .core import Algebra, algebra_from_products
-from .linalg import Matrix, frac
+from .core import Algebra
+from .linalg import Matrix, parse_rational
 
 
 class FileFormatError(ValueError):
     """The file is readable but not a valid document of the expected kind."""
 
 
-def _rational(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise FileFormatError("%s must be an integer or a rational string, got %r" % (where, value))
-    if isinstance(value, (int, str)):
+def _pair(value: Any, where: str, *at: int) -> tuple[int, int]:
+    """A rational value of a document as (numerator, denominator) in lowest terms.
+
+    The value sits at `where % at`, which is formatted only for an error.
+    """
+    if isinstance(value, str):
         try:
-            return frac(value)
+            return parse_rational(value)
         except (ValueError, ZeroDivisionError):
-            raise FileFormatError("%s is not a rational literal: %r" % (where, value)) from None
-    raise FileFormatError("%s must be an integer or a rational string, got %r" % (where, value))
+            raise FileFormatError("%s is not a rational literal: %r" % (where % at, value)) from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    raise FileFormatError("%s must be an integer or a rational string, got %r" % (where % at, value))
+
+
+def _rational(value: Any, where: str, *at: int) -> Fraction:
+    return Fraction(*_pair(value, where, *at))
+
+
+def _literal(x: int, den: int) -> str:
+    """The canonical literal of x/den, as `str(Fraction(x, den))` writes it, for den > 0."""
+    if den != 1:
+        g = math.gcd(x, den)
+        if g != den:
+            return "%d/%d" % (x // g, den // g)
+        x //= g
+    return int.__repr__(x)
 
 
 def _index(value: Any, where: str) -> int:
@@ -63,8 +89,55 @@ def _expect_list(value: Any, where: str) -> list:
     return value
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# The writers of the two leaf types a document is made of, by exact type.
+_LEAF = {str: _encode_str, int: int.__repr__}
+
+
 def dumps_canonical(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """`json.dumps(payload, indent=2) + "\\n"`, written directly.
+
+    Takes dicts with str keys, lists, str, int, bool and None, and
+    raises TypeError on anything else: a float, as `frac` refuses one,
+    a tuple or a non-str key.  Strings are escaped by `json`'s own
+    ASCII encoder and ints written by `int.__repr__`, as `json.dumps`
+    does, without its pure-Python indenting encoder.
+    """
+    return _encode(payload, "\n") + "\n"
+
+
+def _encode(value: Any, newline: str) -> str:
+    """The JSON text of value; `newline` is a line break and the indent of value's own line."""
+    leaf = _LEAF.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            leaf = _LEAF.get(type(item))
+            items.append(_encode_str(key) + ": " + (leaf(item) if leaf else _encode(item, inner)))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [leaf(item) if (leaf := _LEAF.get(type(item))) else _encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
 
 
 def _load_json(text: str, kind: str) -> dict:
@@ -76,13 +149,17 @@ def _load_json(text: str, kind: str) -> dict:
 
 
 def algebra_to_dict(a: Algebra, name: str | None = None, params: dict[str, Fraction] | None = None) -> dict:
+    """The algebra document; its records are the table's, in its stored (i, j, k) order."""
     payload: dict[str, Any] = {"dim": a.dim}
     if name is not None:
         payload["name"] = name
     if params:
         payload["params"] = {key: str(params[key]) for key in sorted(params)}
+    den = a.table.denominator
     payload["brackets"] = [
-        {"i": i, "j": j, "k": k, "c": str(c)} for i, j, k, c in sorted(a.products())
+        {"i": i + 1, "j": j + 1, "k": k + 1, "c": _literal(c, den)}
+        for (i, j), terms in a.table.products.items()
+        for k, c in terms
     ]
     return payload
 
@@ -90,35 +167,37 @@ def algebra_to_dict(a: Algebra, name: str | None = None, params: dict[str, Fract
 def algebra_from_dict(data: dict) -> tuple[Algebra, dict]:
     """Parse an algebra document; returns the algebra and its metadata.
 
-    The Leibniz identity is deliberately not checked here; `validate` and
-    the operations that need it decide that themselves.  A dim above
-    `core.MAX_DIM` is refused before anything is allocated.
+    Each record is validated once and handed to `core._from_int_records`
+    as ints; a `name` must be a string, since it is written back into
+    JSON answers.  The Leibniz identity is deliberately not checked here;
+    `validate` and the operations that need it decide that themselves.
+    A dim above `core.MAX_DIM` is refused before anything is allocated.
     """
     dim = _size(data.get("dim"), "dim")
     records = _expect_list(data.get("brackets", []), "brackets")
-    products: dict[tuple[int, int], dict[int, Fraction]] = {}
+    ints: list[tuple[int, int, int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
     for pos, record in enumerate(records):
         rec = _expect_dict(record, "brackets[%d]" % pos)
-        i = _index(rec.get("i"), "brackets[%d].i" % pos)
-        j = _index(rec.get("j"), "brackets[%d].j" % pos)
-        k = _index(rec.get("k"), "brackets[%d].k" % pos)
-        c = _rational(rec.get("c"), "brackets[%d].c" % pos)
-        for name, value in (("i", i), ("j", j), ("k", k)):
-            if not 1 <= value <= dim:
-                raise FileFormatError(
-                    "brackets[%d].%s = %d outside 1..%d" % (pos, name, value, dim)
-                )
-        if (i, j, k) in seen:
-            raise FileFormatError("duplicate bracket record (%d, %d, %d)" % (i, j, k))
-        seen.add((i, j, k))
-        products.setdefault((i, j), {})[k] = c
-    try:
-        algebra = algebra_from_products(dim, products, check=False)
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from None
+        i, j, k, c = rec.get("i"), rec.get("j"), rec.get("k"), rec.get("c")
+        if not (type(i) is int and type(j) is int and type(k) is int):
+            i = _index(i, "brackets[%d].i" % pos)
+            j = _index(j, "brackets[%d].j" % pos)
+            k = _index(k, "brackets[%d].k" % pos)
+        p, q = _pair(c, "brackets[%d].c", pos)
+        if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
+            name, value = next((n, v) for n, v in (("i", i), ("j", j), ("k", k)) if not 1 <= v <= dim)
+            raise FileFormatError("brackets[%d].%s = %d outside 1..%d" % (pos, name, value, dim))
+        key = (i, j, k)
+        if key in seen:
+            raise FileFormatError("duplicate bracket record (%d, %d, %d)" % key)
+        seen.add(key)
+        ints.append((i, j, k, p, q))
+    algebra = core._from_int_records(dim, ints)
     meta = {}
     if "name" in data:
+        if not isinstance(data["name"], str):
+            raise FileFormatError("name must be a string, got %r" % (data["name"],))
         meta["name"] = data["name"]
     if "params" in data:
         meta["params"] = data["params"]
@@ -151,7 +230,7 @@ def forms_from_dict(data: dict) -> tuple[int, tuple[BilinearForm, ...]]:
         t = _index(rec.get("t", 1), "entries[%d].t" % pos)
         i = _index(rec.get("i"), "entries[%d].i" % pos)
         j = _index(rec.get("j"), "entries[%d].j" % pos)
-        c = _rational(rec.get("c"), "entries[%d].c" % pos)
+        c = _rational(rec.get("c"), "entries[%d].c", pos)
         if not 1 <= t <= k:
             raise FileFormatError("entries[%d].t = %d outside 1..%d" % (pos, t, k))
         for name, value in (("i", i), ("j", j)):
@@ -167,11 +246,15 @@ def forms_from_dict(data: dict) -> tuple[int, tuple[BilinearForm, ...]]:
 
 
 def matrix_to_dict(m: Matrix) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[str(x) for x in row] for row in m.data],
-    }
+    """The matrix document, written from the int view `Matrix._int_rows`."""
+    rows, den = m._int_rows()
+    entries = []
+    for row in rows:
+        out = ["0"] * m.cols
+        for j, x in row:
+            out[j] = _literal(x, den)
+        entries.append(out)
+    return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
 def matrix_from_dict(data: dict) -> Matrix:
@@ -187,7 +270,7 @@ def matrix_from_dict(data: dict) -> Matrix:
         row = _expect_list(row, "entries[%d]" % r)
         if len(row) != cols:
             raise FileFormatError("row %d has %d entries, expected %d" % (r, len(row), cols))
-        grid.append(tuple(_rational(x, "entries[%d][%d]" % (r, c)) for c, x in enumerate(row)))
+        grid.append(tuple(_rational(x, "entries[%d][%d]", r, c) for c, x in enumerate(row)))
     return Matrix(grid, cols=cols)
 
 

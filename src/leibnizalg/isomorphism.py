@@ -43,6 +43,7 @@ from .core import (
     Algebra,
     CharSeq,
     _from_records,
+    _products_by_row,
     bracket,
     center,
     characteristic_sequence,
@@ -211,14 +212,6 @@ def _brackets_match(a: Algebra, b: Algebra, cols: Columns, d: int) -> tuple[int,
             if lhs != rhs:
                 return (i + 1, j + 1)
     return None
-
-
-def _products_by_row(a: Algebra) -> list[list[tuple[int, tuple[tuple[int, int], ...]]]]:
-    """a's integer products grouped by their first index: row i lists (j, terms of [e_i, e_j])."""
-    out = [[] for _ in range(a.dim)]
-    for (i, j), terms in a.table.products.items():
-        out[i].append((j, terms))
-    return out
 
 
 def verify_isomorphism(a: Algebra, b: Algebra, p: Matrix) -> IsoCheck:

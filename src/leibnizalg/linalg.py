@@ -4,10 +4,11 @@ The scalar type is `fractions.Fraction`: arbitrary-precision rationals,
 always in lowest terms with positive denominator, so every computation in
 this module is exact.  Matrices are immutable, row-major grids of
 Fractions.  A matrix built from sparse int rows over one denominator
-(`Matrix._from_ints`) keeps those rows as its int view, so a consumer
-that works on ints, as `isomorphism.verify_isomorphism` does, need not
-clear the Fractions again; any other matrix derives that view from its
-entries on first use.
+(`Matrix._from_ints`) keeps only those rows, its int view, so a consumer
+that works on ints, as `isomorphism.verify_isomorphism` and
+`files.matrix_to_dict` do, never builds its Fractions; its `Fraction`
+grid is derived on first read.  Any other matrix derives the int view
+from its entries on first use.
 
 Elimination has one kernel, `Echelon`, and it is fraction-free: rows
 are sparse dicts {column: int}, held primitive (content 1) with a
@@ -39,8 +40,9 @@ Determinism conventions, relied on throughout the package:
 * `kernel_basis` enumerates free columns in increasing order and sets the
   free coordinate of each basis vector to 1.
 
-Floats are refused at construction time and by `Echelon`, and `frac`,
-the one parser of rational literals, refuses exponents; the one
+Floats are refused at construction time and by `Echelon`, and
+`parse_rational`, the one parser of rational literals behind `frac`,
+refuses exponents; the one
 floating-point helper lives elsewhere and never feeds back into exact
 results.
 """
@@ -60,19 +62,49 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def parse_rational(text: str) -> tuple[int, int]:
+    """The rational literal `text` as (numerator, denominator), in lowest terms, denominator positive.
+
+    The one parser of rational literals.  Plain ASCII "-?digits" and
+    "-?digits/digits" are read by `int` directly; every other literal
+    goes through `Fraction(text)`, so the spellings it accepts ("1_0",
+    " 3", "+3", "1.5", non-ASCII digits) keep their values, and a zero
+    denominator or a numeral beyond `int`'s digit limit raises its error.
+    A literal with an exponent is refused first: `Fraction("1e4000000")`
+    builds 10^4000000 before any check.
+    """
+    body = text[1:] if text[:1] == "-" else text
+    num, slash, den = body.partition("/")
+    if body.isascii() and num.isdigit() and (not slash or den.isdigit()):
+        try:
+            p, q = int(num), int(den) if slash else 1
+        except ValueError:  # past the digit limit: Fraction raises the same error below
+            pass
+        else:
+            if q:
+                if body is not text:
+                    p = -p
+                g = math.gcd(p, q)
+                return (p // g, q // g) if g != 1 else (p, q)
+    if "e" in text or "E" in text:
+        raise ValueError("refusing rational literal with an exponent: %r" % (text,))
+    x = Fraction(text)
+    return x.numerator, x.denominator
+
+
 def frac(value: int | str | Fraction) -> Fraction:
     """Coerce an int, a string like '-3/2', or a Fraction to a Fraction.
 
     Floats are rejected: silent binary-to-rational conversion is how
-    inexactness sneaks into an exact pipeline.  So are strings with an
-    exponent: `Fraction("1e4000000")` builds 10^4000000 before any check.
+    inexactness sneaks into an exact pipeline.  Strings go through
+    `parse_rational`, which refuses exponents.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError("refusing to coerce float %r to an exact rational" % (value,))
-    if isinstance(value, str) and ("e" in value or "E" in value):
-        raise ValueError("refusing rational literal with an exponent: %r" % (value,))
+    if isinstance(value, str):
+        return Fraction(*parse_rational(value))
     return Fraction(value)
 
 
@@ -97,12 +129,13 @@ class Matrix:
     are kept as they are; anything else goes through `frac`, so floats and
     exponent literals are refused.  An explicit `cols` count is required
     when constructing a matrix with zero rows, since the width cannot be
-    inferred.  `_int_rows` is an int view of `data`: a matrix built by
-    `_from_ints` keeps the rows it was built from, any other derives it
-    on first use.
+    inferred.  `_int_rows` is an int view of `data`.  A matrix built by
+    `_from_ints` keeps only the int rows it was built from, and `data` is
+    derived from them on first read; any other matrix keeps `data` and
+    derives the int view on first use.
     """
 
-    __slots__ = ("rows", "cols", "data", "_ints")
+    __slots__ = ("rows", "cols", "_data", "_ints")
 
     def __init__(self, data: Iterable[Iterable[int | str | Fraction]], cols: int | None = None):
         grid = tuple(tuple(x if type(x) is Fraction else frac(x) for x in row) for row in data)
@@ -115,7 +148,7 @@ class Matrix:
             cols = width
         elif cols is None:
             raise ValueError("a matrix with no rows needs an explicit column count")
-        self.data: tuple[Vector, ...] = grid
+        self._data: tuple[Vector, ...] | None = grid
         self.rows: int = len(grid)
         self.cols: int = cols
         self._ints: tuple[IntRows, int] | None = None
@@ -126,22 +159,30 @@ class Matrix:
 
         The rows are put over the least common denominator of the entries,
         in column order, and kept as the int view; `data` is derived from
-        them, so the two cannot disagree.
+        them on first read, so the two cannot disagree.
         """
         g = math.gcd(den, *(x for row in rows for x in row.values()))
         if den < 0:
             g = -g
         den //= g
         ints = tuple(tuple((j, x // g) for j, x in sorted(row.items()) if x) for row in rows)
-        grid = []
-        for row in ints:
-            v = [_ZERO] * cols
-            for j, x in row:
-                v[j] = Fraction(x, den) if den != 1 else Fraction(x)
-            grid.append(tuple(v))
         m = Matrix.__new__(Matrix)
-        m.data, m.rows, m.cols, m._ints = tuple(grid), len(grid), cols, (ints, den)
+        m._data, m.rows, m.cols, m._ints = None, len(ints), cols, (ints, den)
         return m
+
+    @property
+    def data(self) -> tuple[Vector, ...]:
+        """The rows as tuples of Fractions; derived from the int view on first read when not kept."""
+        if self._data is None:
+            ints, den = self._ints
+            grid = []
+            for row in ints:
+                v = [_ZERO] * self.cols
+                for j, x in row:
+                    v[j] = Fraction(x, den)
+                grid.append(tuple(v))
+            self._data = tuple(grid)
+        return self._data
 
     def _int_rows(self) -> tuple[IntRows, int]:
         """The rows times their least common denominator d, as sparse (column, int) pairs, and d."""

@@ -34,6 +34,13 @@ the scatter that replaced them.
 dense int grid of a `Matrix`, for the Bareiss checks here and in the
 tests.
 
+`sweep_check_leibniz` is the earlier `core.check_leibniz`, which swept
+all n^3 basis triples with three table lookups each; `fraction_frac` is
+the earlier `linalg.frac`, which parsed every string literal with
+`Fraction(str)`, and `fraction_rational` the earlier `files._rational`
+on top of it.  They are kept verbatim apart from their names, as
+references for the scattered check and for `linalg.parse_rational`.
+
 `flag_breaking_change` draws a basis change that is a lower times a
 unit upper triangular matrix.  A triangular basis keeps the flag
 span(e_j, ..., e_n), so code that depends on column order would still
@@ -42,12 +49,14 @@ see the catalog's order; the product mixes it.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from hypothesis import strategies as st
 
 from leibnizalg.cohomology import _class_and_preimage, _condition_rows, cohomology_basis, combine
+from leibnizalg.core import LeibnizViolation, _rational_vector
 from leibnizalg.extension import SplitReport, _require_leibniz, validate_cocycle
+from leibnizalg.files import FileFormatError
 from leibnizalg.isomorphism import Columns, IsoCheck, _brackets_match
 from leibnizalg.linalg import (
     Echelon,
@@ -332,3 +341,63 @@ def flag_breaking_change(draw, dim: int, rational: bool = False) -> Matrix:
         return q
     scale = [draw(st.sampled_from((Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)))) for _ in range(dim)]
     return Matrix([[x * scale[c] for c, x in enumerate(row)] for row in q.data], cols=dim)
+
+
+def sweep_check_leibniz(a) -> list[LeibnizViolation]:
+    """All violating basis triples, 1-based, with their defect vectors.
+
+    The defect of (e_i, e_j, e_k) is [e_i,[e_j,e_k]] - [[e_i,e_j],e_k]
+    + [[e_i,e_k],e_j]; on the integer products it comes out times D^2.
+    """
+    n = a.dim
+    table = a.table
+    get = table.products.get
+    violations = []
+    for i in range(n):
+        for j in range(n):
+            ij = get((i, j), ())
+            for k in range(n):
+                jk, ik = get((j, k), ()), get((i, k), ())
+                if not (jk or ij or ik):
+                    continue
+                acc = [0] * n
+                for m, c in jk:
+                    for t, s in get((i, m), ()):
+                        acc[t] += c * s
+                for m, c in ij:
+                    for t, s in get((m, k), ()):
+                        acc[t] -= c * s
+                for m, c in ik:
+                    for t, s in get((m, j), ()):
+                        acc[t] += c * s
+                if any(acc):
+                    defect = _rational_vector(acc, table.denominator**2)
+                    violations.append(LeibnizViolation(i + 1, j + 1, k + 1, defect))
+    return violations
+
+
+def fraction_frac(value: int | str | Fraction) -> Fraction:
+    """Coerce an int, a string like '-3/2', or a Fraction to a Fraction.
+
+    Floats are rejected: silent binary-to-rational conversion is how
+    inexactness sneaks into an exact pipeline.  So are strings with an
+    exponent: `Fraction("1e4000000")` builds 10^4000000 before any check.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise TypeError("refusing to coerce float %r to an exact rational" % (value,))
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError("refusing rational literal with an exponent: %r" % (value,))
+    return Fraction(value)
+
+
+def fraction_rational(value: Any, where: str) -> Fraction:
+    if isinstance(value, bool) or isinstance(value, float):
+        raise FileFormatError("%s must be an integer or a rational string, got %r" % (where, value))
+    if isinstance(value, (int, str)):
+        try:
+            return fraction_frac(value)
+        except (ValueError, ZeroDivisionError):
+            raise FileFormatError("%s is not a rational literal: %r" % (where, value)) from None
+    raise FileFormatError("%s must be an integer or a rational string, got %r" % (where, value))

@@ -1,15 +1,25 @@
-"""File formats and the command line surface."""
+"""File formats and the command line surface.
+
+The literal and writer tests compare `linalg.parse_rational` and the
+direct JSON writer `files.dumps_canonical` with the code they replaced:
+`fraction_frac`/`fraction_rational` (tests/oracles.py) and
+`json.dumps(payload, indent=2)`.
+"""
 
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from leibnizalg import catalog, files
+from leibnizalg import algebra_from_products, catalog, files, transform_algebra
 from leibnizalg.cli import main
 from leibnizalg.cohomology import BilinearForm
-from leibnizalg.linalg import Matrix
+from leibnizalg.linalg import Matrix, frac
+from oracles import fraction_frac, fraction_rational
 
 
 @pytest.fixture
@@ -93,6 +103,99 @@ def test_matrix_round_trip(tmp_path):
     assert files.read_matrix_file(path) == m
 
 
+# Literals a reader may meet, each of which must keep the value or the
+# exception of `Fraction(str)` behind the earlier `frac`.
+HOSTILE_LITERALS = (
+    "1_0", " 3", "+3", "\u0663", "-0", "00/4", "2/4", "1.5", "3/0", "1e3", "3/-2",
+    "1" * 4301, "-12/18", "7", True, 1.5,
+)
+
+
+def _outcome(fn, *args):
+    """fn(*args) as ("value", result), or ("raises", exception type, message)."""
+    try:
+        return "value", fn(*args)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return "raises", type(exc), str(exc)
+
+
+def _documents(literal):
+    """(reader, a document holding the literal, where it sits, what the reader returns for its value c)."""
+    return (
+        (lambda doc: files.algebra_from_dict(doc)[0],
+         {"dim": 2, "brackets": [{"i": 1, "j": 1, "k": 2, "c": literal}]},
+         "brackets[0].c", lambda c: algebra_from_products(2, {(1, 1): {2: c}}, check=False)),
+        (files.forms_from_dict,
+         {"dim": 2, "k": 1, "entries": [{"t": 1, "i": 1, "j": 2, "c": literal}]},
+         "entries[0].c", lambda c: (2, (BilinearForm.from_entries(2, {(1, 2): c}),))),
+        (files.matrix_from_dict,
+         {"rows": 1, "cols": 1, "entries": [[literal]]},
+         "entries[0][0]", lambda c: Matrix([[c]])),
+    )
+
+
+@pytest.mark.parametrize("literal", HOSTILE_LITERALS, ids=lambda x: repr(x)[:12])
+def test_hostile_literals_keep_their_values_and_errors(literal):
+    assert _outcome(frac, literal) == _outcome(fraction_frac, literal)
+    for reader, doc, where, build in _documents(literal):
+        try:
+            expected = build(fraction_rational(literal, where))
+        except files.FileFormatError as exc:
+            with pytest.raises(files.FileFormatError) as caught:
+                reader(doc)
+            assert str(caught.value) == str(exc)
+        else:
+            assert reader(doc) == expected
+
+
+def test_plain_literal_documents_are_read_and_written_without_fractions(monkeypatch):
+    src = catalog.make("F1param", 6, alpha6=1, theta="1/2")
+    q = Matrix([[Fraction(r == c) + Fraction(r > c, 2) for c in range(6)] for r in range(6)])
+    doc = files.algebra_to_dict(transform_algebra(src, q))
+    assert any("/" in record["c"] for record in doc["brackets"])
+    expected = files.algebra_from_dict(doc)[0]
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", refuse)
+        read, _ = files.algebra_from_dict(doc)
+        written = files.algebra_to_dict(read)
+    assert read == expected and written == doc
+
+
+def test_dumps_canonical_does_not_use_the_indenting_encoder(monkeypatch):
+    payload = {"algebra": files.algebra_to_dict(catalog.make("NF", 3)), "x": [None, True, [], {}]}
+    expected = json.dumps(payload, indent=2) + "\n"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was reached")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert files.dumps_canonical(payload) == expected
+
+
+_strings = st.text(st.characters(exclude_categories=()))  # surrogates and control characters too
+_json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from((10**40, -(10**40), -1, 0)) | _strings,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_strings, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_strings, _json_trees, max_size=5))
+def test_dumps_canonical_matches_json_dumps(payload):
+    assert files.dumps_canonical(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), (1, 2), {1: "x"}, [{"a": {2: None}}]], ids=repr)
+def test_dumps_canonical_refuses_what_json_documents_do_not_hold(bad):
+    with pytest.raises(TypeError):
+        files.dumps_canonical({"value": bad})
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -112,6 +215,13 @@ def test_validate_broken_exits_1(tmp_path, capsys):
 
 def test_validate_missing_file_exits_3(capsys):
     assert main(["validate", "no-such-file.json"]) == 3
+
+
+def test_non_string_name_exits_3(tmp_path, capsys):
+    path = tmp_path / "named.json"
+    path.write_text('{"dim": 2, "name": 1.5, "brackets": []}')
+    assert main(["invariants", str(path), "--format", "json"]) == 3
+    assert "name must be a string" in capsys.readouterr().err
 
 
 def test_validate_garbage_json_exits_3(tmp_path):

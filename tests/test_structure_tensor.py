@@ -110,7 +110,7 @@ from leibnizalg.linalg import (
     unit_vector,
     zero_vector,
 )
-from oracles import flag_breaking_change
+from oracles import flag_breaking_change, sweep_check_leibniz
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -605,6 +605,18 @@ def planted(draw):
     return algebra_from_products(n, records, check=False)
 
 
+@st.composite
+def integer_tables(draw):
+    """A random sparse integer table at dims 1 to 7, almost never Leibniz."""
+    n = draw(st.integers(1, 7))
+    index = st.integers(1, n)
+    cells = draw(st.dictionaries(st.tuples(index, index, index), st.integers(-3, 3).filter(bool), max_size=3 * n))
+    records = {}
+    for (i, j, k), c in cells.items():
+        records.setdefault((i, j), {})[k] = c
+    return algebra_from_products(n, records, check=False)
+
+
 def vectors(n):
     return st.lists(small, min_size=n, max_size=n).map(tuple)
 
@@ -613,11 +625,25 @@ def vectors(n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(members().map(lambda m: m[2]), planted()))
+@given(st.one_of(members().map(lambda m: m[2]), planted(), integer_tables()))
 def test_check_leibniz_matches_dense_oracle(a):
+    """The scattered check lists what both sweeps list: order, triples and defects."""
     violations = check_leibniz(a)
     assert violations == oracle_check_leibniz(a)
+    assert violations == sweep_check_leibniz(a)
     assert all(isinstance(x, Fraction) for v in violations for x in v.defect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(members().map(lambda m: m[2]), planted(), integer_tables()), st.randoms())
+def test_documents_read_and_write_as_products_records(a, rng):
+    """The document holds sorted(a.products()); read back in any record order, it is algebra_from_products's table."""
+    doc = files.algebra_to_dict(a)
+    assert doc["brackets"] == [{"i": i, "j": j, "k": k, "c": str(c)} for i, j, k, c in sorted(a.products())]
+    rng.shuffle(doc["brackets"])
+    read, _ = files.algebra_from_dict(doc)
+    expected = algebra_from_products(a.dim, product_records(a), check=False)
+    assert read.table == expected.table == a.table
 
 
 def test_planted_faults_are_found():
