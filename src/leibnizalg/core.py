@@ -48,11 +48,10 @@ from .linalg import (
     Echelon,
     Matrix,
     Vector,
-    common_denominator,
+    _integer_vector,
     frac,
     inverse,
     sparse,
-    unit_vector,
 )
 
 _ZERO = Fraction(0)
@@ -110,12 +109,6 @@ class IntegerTable(NamedTuple):
 
     denominator: int
     products: dict[tuple[int, int], tuple[tuple[int, int], ...]]
-
-
-def _integer_vector(x: Sequence[Fraction]) -> tuple[list[int], int]:
-    """x as ints over their least common denominator, with that denominator."""
-    den = common_denominator(x)
-    return [v.numerator * (den // v.denominator) for v in x], den
 
 
 def _rational_vector(ints: Sequence[int], den: int) -> Vector:
@@ -259,6 +252,27 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     n = a.dim
     shifted = ((i + n, j + n, k + n, c) for i, j, k, c in b.products())
     return _from_records(n + b.dim, [*a.products(), *shifted], checked=a.checked and b.checked)
+
+
+def transform_algebra(a: Algebra, q: Matrix) -> Algebra:
+    """The algebra on the basis whose q-columns express it in a's coordinates.
+
+    The result is isomorphic to a via q by construction.
+    """
+    if q.rows != a.dim or q.cols != a.dim:
+        raise ValueError("change of basis must be %d x %d" % (a.dim, a.dim))
+    qinv = inverse(q)
+    if qinv is None:
+        raise ValueError("change of basis is singular")
+    n = a.dim
+    cols = [q.column(i) for i in range(n)]
+    records = (
+        (i + 1, j + 1, k + 1, c)
+        for i in range(n)
+        for j in range(n)
+        for k, c in enumerate(qinv.apply(bracket(a, cols[i], cols[j])))
+    )
+    return _from_records(n, records, checked=a.checked)
 
 
 def bracket(a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
@@ -543,10 +557,15 @@ def squares_subspace(a: Algebra) -> Subspace:
 
 
 def right_mult_operator(a: Algebra, x: Sequence[Fraction]) -> Matrix:
-    """Matrix of y -> [y, x] in the standard basis (columns are images)."""
+    """Matrix of y -> [y, x] in the standard basis (columns are images).
+
+    x is cleared to ints over dx once; R_x is `_right_mult_grid` over D*dx.
+    """
     if len(x) != a.dim:
         raise ValueError("vector must have length %d" % a.dim)
-    return Matrix.from_columns([bracket(a, unit_vector(a.dim, j), x) for j in range(a.dim)])
+    xs, dx = _integer_vector(x)
+    grid = _right_mult_grid(a, xs)
+    return Matrix._from_ints([dict(enumerate(row)) for row in grid], dx * a.table.denominator, a.dim)
 
 
 def _right_mult_grid(a: Algebra, x: Sequence[int]) -> list[list[int]]:
@@ -821,13 +840,9 @@ def natural_gradation(a: Algebra) -> GradedAlgebra:
             adapted.append(v)
             layers.append(i + 1)
     basis_matrix = Matrix.from_columns(adapted) if adapted else Matrix.zeros(n, 0)
-    inv = inverse(basis_matrix) if n else None
-    if n and inv is None:
-        raise RuntimeError("adapted basis is singular; series computation is inconsistent")
-    records = []
-    for u in range(n):
-        for v in range(n):
-            coords = inv.apply(bracket(a, adapted[u], adapted[v]))
-            target = layers[u] + layers[v]
-            records.extend((u + 1, v + 1, t + 1, c) for t, c in enumerate(coords) if layers[t] == target)
+    records = (
+        (u, v, t, c)
+        for u, v, t, c in transform_algebra(a, basis_matrix).products()
+        if layers[t - 1] == layers[u - 1] + layers[v - 1]
+    )
     return GradedAlgebra(tuple(layer_dims), _from_records(n, records), basis_matrix)

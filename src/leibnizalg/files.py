@@ -25,7 +25,7 @@ from typing import Any
 from . import core
 from .cohomology import BilinearForm, _form_from_rationals
 from .core import Algebra
-from .linalg import Matrix, parse_rational
+from .linalg import Matrix, frac, parse_rational
 
 
 class FileFormatError(ValueError):
@@ -148,13 +148,18 @@ def _load_json(text: str, kind: str) -> dict:
     return _expect_dict(data, "the %s document" % kind)
 
 
-def algebra_to_dict(a: Algebra, name: str | None = None, params: dict[str, Fraction] | None = None) -> dict:
-    """The algebra document; its records are the table's, in its stored (i, j, k) order."""
+def algebra_to_dict(a: Algebra, name: str | None = None,
+                    params: dict[str, int | str | Fraction] | None = None) -> dict:
+    """The algebra document; its records are the table's, in its stored (i, j, k) order.
+
+    Each param is written as its canonical literal, `str(frac(value))`,
+    so a float raises `frac`'s TypeError.
+    """
     payload: dict[str, Any] = {"dim": a.dim}
     if name is not None:
         payload["name"] = name
     if params:
-        payload["params"] = {key: str(params[key]) for key in sorted(params)}
+        payload["params"] = {key: str(frac(params[key])) for key in sorted(params)}
     den = a.table.denominator
     payload["brackets"] = [
         {"i": i + 1, "j": j + 1, "k": k + 1, "c": _literal(c, den)}
@@ -169,8 +174,10 @@ def algebra_from_dict(data: dict) -> tuple[Algebra, dict]:
 
     Each record is validated once and handed to `core._from_int_records`
     as ints; a `name` must be a string, since it is written back into
-    JSON answers.  The Leibniz identity is deliberately not checked here;
-    `validate` and the operations that need it decide that themselves.
+    JSON answers, and `params` an object whose values are rational values
+    as in a record, kept in the metadata as canonical literals.  The
+    Leibniz identity is deliberately not checked here; `validate` and the
+    operations that need it decide that themselves.
     A dim above `core.MAX_DIM` is refused before anything is allocated.
     """
     dim = _size(data.get("dim"), "dim")
@@ -200,7 +207,11 @@ def algebra_from_dict(data: dict) -> tuple[Algebra, dict]:
             raise FileFormatError("name must be a string, got %r" % (data["name"],))
         meta["name"] = data["name"]
     if "params" in data:
-        meta["params"] = data["params"]
+        params = _expect_dict(data["params"], "params")
+        for key in params:
+            if not isinstance(key, str):
+                raise FileFormatError("params keys must be strings, got %r" % (key,))
+        meta["params"] = {key: _literal(*_pair(value, "params[%r]", key)) for key, value in params.items()}
     return algebra, meta
 
 

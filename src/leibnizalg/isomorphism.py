@@ -25,9 +25,10 @@ candidate that passes is built as a `Matrix` and re-verified by
 `verify_isomorphism` before it is returned.
 
 The candidate stream depends only on (dimension, budget, seed), never on
-the algebras, so it is memoised: searches with the same key walk one
-held prefix, drawn lazily and bounded in keys and in held pairs (see
-`_held_stream`).
+the algebras.  A search whose budget bounds it to at most 2**16 (row,
+entry) pairs walks the stream's first `budget` candidates as one
+memoised tuple per key (`_held_candidates`); any other search draws the
+stream afresh and holds nothing.
 """
 
 from __future__ import annotations
@@ -35,16 +36,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
     Algebra,
     CharSeq,
-    _from_records,
     _products_by_row,
-    bracket,
     center,
     characteristic_sequence,
     classify_shape,
@@ -53,14 +51,15 @@ from .core import (
     right_annihilator,
     series_dims,
     squares_subspace,
+    transform_algebra,
 )
-from .linalg import Echelon, Matrix, inverse
+from .linalg import Echelon, Matrix
 
 SEARCH_SEED = 1729
 SEARCH_BUDGET = 10000
 # Largest candidate budget a search accepts.
 MAX_SEARCH_BUDGET = 1_000_000
-# Candidate streams memoised at once, and (row, entry) pairs held per stream.
+# Candidate streams memoised at once, and (row, entry) pairs a memoised stream may hold.
 _STREAM_KEYS = 8
 _STREAM_HELD_PAIRS = 1 << 16
 
@@ -266,27 +265,6 @@ def verify_isomorphism(a: Algebra, b: Algebra, p: Matrix) -> IsoCheck:
     return IsoCheck(True)
 
 
-def transform_algebra(a: Algebra, q: Matrix) -> Algebra:
-    """The algebra on the basis whose q-columns express it in a's coordinates.
-
-    The result is isomorphic to a via q by construction.
-    """
-    if q.rows != a.dim or q.cols != a.dim:
-        raise ValueError("change of basis must be %d x %d" % (a.dim, a.dim))
-    qinv = inverse(q)
-    if qinv is None:
-        raise ValueError("change of basis is singular")
-    n = a.dim
-    cols = [q.column(i) for i in range(n)]
-    records = (
-        (i + 1, j + 1, k + 1, c)
-        for i in range(n)
-        for j in range(n)
-        for k, c in enumerate(qinv.apply(bracket(a, cols[i], cols[j])))
-    )
-    return _from_records(n, records, checked=a.checked)
-
-
 @dataclass(frozen=True)
 class SearchResult:
     status: str  # "found" | "distinguished" | "undetermined"
@@ -348,66 +326,33 @@ def _search_candidates(n: int, budget: int, seed: int):
         yield tuple(tuple((r, row[j]) for r, row in enumerate(rows) if row[j]) for j in range(n))
 
 
-class _HeldStream:
-    """The prefix of one candidate stream drawn so far, and the generator that extends it."""
-
-    def __init__(self, n: int, budget: int, seed: int):
-        self.key = (n, budget, seed)
-        self.held: list[Columns] = []
-        self.pairs = 0
-        self.source = _search_candidates(n, budget, seed)  # None once the cap is reached
-        self.interned: dict[tuple[int, int], tuple[int, int]] = {}
-        self.lock = threading.Lock()
-
-    def candidates(self):
-        """`_search_candidates(*key)`: the held prefix, extended as a search reaches its end.
-
-        Past the cap the search draws the rest from its own generator,
-        advanced past the held prefix.
-        """
-        held = self.held
-        i = 0
-        while True:
-            while i < len(held):
-                yield held[i]
-                i += 1
-            with self.lock:
-                if i == len(held) and not self._extend():
-                    break
-        yield from itertools.islice(_search_candidates(*self.key), i, None)
-
-    def _extend(self) -> bool:
-        """Hold the next candidate; False once it would take the pairs past the cap."""
-        if self.source is None:
-            return False
-        candidate = next(self.source)
-        size = sum(map(len, candidate))
-        if self.pairs + size > _STREAM_HELD_PAIRS:
-            self.source = None
-            return False
-        intern = self.interned.setdefault
-        self.held.append(tuple(tuple(intern(pair, pair) for pair in col) for col in candidate))
-        self.pairs += size
-        return True
-
-
 @lru_cache(maxsize=_STREAM_KEYS)
-def _held_stream(n: int, budget: int, seed: int) -> _HeldStream:
-    """The memoised candidate stream of one (n, budget, seed).
+def _held_candidates(n: int, budget: int, seed: int) -> tuple[Columns, ...]:
+    """The first `budget` candidates of `_search_candidates(n, budget, seed)`, memoised.
 
     The stream does not depend on the algebras, so every search with the
-    same key walks the same candidates.  Candidates are held only once a
-    search reaches them.  At most `_STREAM_KEYS` (8) keys and
-    `_STREAM_HELD_PAIRS` (2**16) (row, entry) pairs per key are held;
-    equal pairs are one shared tuple.  Worst case, measured with
-    tracemalloc on CPython 3.11 for n = 1..10, 16, 32, 64 up to
-    `MAX_SEARCH_BUDGET`: a held pair costs at most 105 bytes, at n = 1,
-    where every column is one pair with its own tuple, and at most 62
-    bytes for n >= 2.  So the memo holds at most 8 * 2**16 * 105 bytes,
-    about 55 MB, and about 33 MB when every key has n >= 2.  A budget-256
-    key at n <= 7 holds at most 3,652 pairs.
+    same key walks the same candidates.  `search_isomorphism` holds a key
+    only when budget * max(n*n, 1) is at most `_STREAM_HELD_PAIRS` (2**16):
+    a candidate has at most n*n (row, entry) pairs, and counts as one at
+    n = 0.  Equal pairs are one shared tuple.  At most `_STREAM_KEYS` (8)
+    keys are held.  Worst case, measured with tracemalloc on CPython 3.11
+    at the largest held budget for n = 1..10, 16, 32, 64: a key holds at
+    most 6.9 MB, at n = 1, where every column is one pair with its own
+    tuple, and at most 2.9 MB for n >= 2.  So the memo holds at most about
+    55 MB, and about 23 MB when every key has n >= 2.  A budget-256 key at
+    n <= 7 holds at most 3,652 pairs.
+
+    The first search of a key builds all its candidates.  Best of 5 on a
+    2-vCPU host whose speed varies up to twofold, that took 6.5 ms at the
+    benchmark's (7, 256), 76 ms at (5, 2,621), 114 ms at (2, 10,000), the
+    CLI default budget on a 2-dimensional algebra, and 0.44 s at
+    (1, 65,536).
     """
-    return _HeldStream(n, budget, seed)
+    intern = {}.setdefault
+    return tuple(
+        tuple(tuple(intern(pair, pair) for pair in col) for col in candidate)
+        for candidate in itertools.islice(_search_candidates(n, budget, seed), budget)
+    )
 
 
 def search_isomorphism(
@@ -428,8 +373,13 @@ def search_isomorphism(
     comparison = compare_fingerprints(fingerprint(a), fingerprint(b))
     if comparison.verdict == "distinguished":
         return SearchResult("distinguished", invariant=comparison.detail)
+    n = a.dim
+    if budget * max(n * n, 1) <= _STREAM_HELD_PAIRS:
+        candidates = _held_candidates(n, budget, seed)
+    else:
+        candidates = itertools.islice(_search_candidates(n, budget, seed), budget)
     trials = 0
-    for candidate in itertools.islice(_held_stream(a.dim, budget, seed).candidates(), budget):
+    for candidate in candidates:
         trials += 1
         if _brackets_match(a, b, candidate, 1) is None:
             matrix = _columns_matrix(candidate)

@@ -40,7 +40,9 @@ Determinism conventions, relied on throughout the package:
 * `kernel_basis` enumerates free columns in increasing order and sets the
   free coordinate of each basis vector to 1.
 
-Floats are refused at construction time and by `Echelon`, and
+Floats are refused at construction time, by `Matrix.apply` and every
+other entry point that clears a vector with `_integer_vector`, and by
+`Echelon`, and
 `parse_rational`, the one parser of rational literals behind `frac`,
 refuses exponents; the one
 floating-point helper lives elsewhere and never feeds back into exact
@@ -120,6 +122,18 @@ def unit_vector(n: int, i: int) -> Vector:
     if not 0 <= i < n:
         raise IndexError("unit vector index %d out of range for length %d" % (i, n))
     return tuple(_ONE if j == i else _ZERO for j in range(n))
+
+
+def _integer_vector(x: Iterable[int | str | Fraction]) -> tuple[list[int], int]:
+    """x as ints over their least common denominator, with that denominator.
+
+    Entries that are not `Fraction`s go through `frac`, so a float is refused.
+    """
+    x = [v if type(v) is Fraction else frac(v) for v in x]
+    den = common_denominator(x)
+    if den == 1:
+        return [v.numerator for v in x], 1
+    return [v.numerator * (den // v.denominator) for v in x], den
 
 
 class Matrix:
@@ -216,18 +230,21 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix([self.column(j) for j in range(self.cols)], cols=self.rows)
 
-    def apply(self, v: Sequence[Fraction]) -> Vector:
-        """Matrix-vector product."""
+    def apply(self, v: Sequence[int | str | Fraction]) -> Vector:
+        """Matrix-vector product, in `Fraction`s.
+
+        Entries of v that are not `Fraction`s go through `frac`, as in the
+        constructor, so a float is refused rather than carried into the
+        result.  v is cleared to ints over its common denominator
+        (`_integer_vector`) and multiplied into the int view `_int_rows`,
+        so each entry of the result is one `Fraction` built from an int sum.
+        """
         if len(v) != self.cols:
             raise ValueError("vector of length %d against %d columns" % (len(v), self.cols))
-        out = []
-        for row in self.data:
-            acc = _ZERO
-            for a, x in zip(row, v):
-                if a and x:
-                    acc += a * x
-            out.append(acc)
-        return tuple(out)
+        xs, dv = _integer_vector(v)
+        rows, d = self._int_rows()
+        den = d * dv
+        return tuple(Fraction(s, den) if (s := sum([c * xs[j] for j, c in row])) else _ZERO for row in rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibnizalg import catalog, linalg
+from leibnizalg.cohomology import BilinearForm
 from leibnizalg.core import (
     CharSeq,
     LeibnizError,
@@ -261,6 +262,35 @@ def test_subspace_refuses_vectors_and_subspaces_of_another_ambient():
             s.reduce(v)
     with pytest.raises(ValueError, match="ambient dimension 2 against 3"):
         s.contains_subspace(Subspace.full(2))
+
+
+_NF3 = catalog.make("NF", 3)
+_FLOAT_ENTRY_POINTS = {
+    "bracket left": lambda x: bracket(_NF3, (x, 0, 0), (1, 0, 0)),
+    "bracket right": lambda x: bracket(_NF3, (1, 0, 0), (x, 0, 0)),
+    "right_mult_operator": lambda x: right_mult_operator(_NF3, (x, 0, 0)),
+    "Matrix": lambda x: Matrix([[x, 0], [0, 1]]),
+    "Matrix.apply": lambda x: Matrix.identity(2).apply((x, 1)),
+    "Subspace.span": lambda x: Subspace.span(2, [(x, 1)]),
+    "Subspace.contains": lambda x: Subspace.full(2).contains((x, 1)),
+    "BilinearForm": lambda x: BilinearForm(2, [[x, 0], [0, 0]]),
+    "BilinearForm.evaluate": lambda x: BilinearForm.singleton(2, 1, 1).evaluate((x, 1), (1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_ENTRY_POINTS))
+def test_rational_entry_points_refuse_floats(name):
+    call = _FLOAT_ENTRY_POINTS[name]
+    with pytest.raises(TypeError, match="float 0.5"):
+        call(0.5)
+    call(Fraction(1, 2))
+
+
+def test_bracket_and_apply_take_ints_and_literals_as_rationals():
+    half = Fraction(1, 2)
+    assert Matrix.identity(2).apply((1, "1/2")) == (Fraction(1), half)
+    assert bracket(_NF3, ("1/2", 0, 0), (1, 0, 0)) == (0, half, 0)
+    assert right_mult_operator(_NF3, (2, 0, 0)) == right_mult_operator(_NF3, (Fraction(2), Fraction(0), Fraction(0)))
 
 
 small_coeff = st.integers(min_value=-2, max_value=2)

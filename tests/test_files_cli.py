@@ -224,6 +224,53 @@ def test_non_string_name_exits_3(tmp_path, capsys):
     assert "name must be a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"b": 0.5}, "params['b'] must be an integer or a rational string, got 0.5"),
+    ({"theta": [1, 2]}, "params['theta'] must be an integer or a rational string"),
+    ({"flag": True}, "params['flag'] must be an integer or a rational string"),
+    ({"x": None}, "params['x'] must be an integer or a rational string"),
+    ({"x": "abc"}, "params['x'] is not a rational literal"),
+    ({"x": "1e5"}, "params['x'] is not a rational literal"),
+    ({"x": "1/0"}, "params['x'] is not a rational literal"),
+    ({1: "2"}, "params keys must be strings"),
+    ([1, 2], "params must be an object"),
+    ("1/2", "params must be an object"),
+])
+def test_params_must_be_rational_values(params, message):
+    with pytest.raises(files.FileFormatError) as exc:
+        files.algebra_from_dict({"dim": 2, "brackets": [], "params": params})
+    assert message in str(exc.value)
+
+
+def test_float_param_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text('{"dim": 2, "params": {"b": 0.5}, "brackets": []}')
+    assert main(["validate", str(path)]) == 3
+    assert "params['b']" in capsys.readouterr().err
+
+
+def test_params_are_written_as_canonical_literals():
+    a = catalog.make("NF", 2)
+    with pytest.raises(TypeError, match="float"):
+        files.algebra_to_dict(a, params={"b": 0.5})
+    written = files.algebra_to_dict(a, params={"b": "2/4", "c": Fraction(-3), "d": 0})
+    assert written["params"] == {"b": "1/2", "c": "-3", "d": "0"}
+
+
+@pytest.mark.parametrize("params, canonical", [
+    ({"b": "2/4", "theta": 3}, {"b": "1/2", "theta": "3"}),
+    ({"x": "-0", "y": "-6/4", "z": "1_0"}, {"x": "0", "y": "-3/2", "z": "10"}),
+    ({}, {}),
+])
+def test_params_round_trip_canonically(tmp_path, params, canonical):
+    a, meta = files.algebra_from_dict({"dim": 2, "brackets": [], "params": params})
+    assert meta["params"] == canonical
+    path = tmp_path / "a.json"
+    files.write_algebra_file(path, a, params=meta["params"])
+    again = files.read_algebra_file(path)[1].get("params", {})
+    assert again == canonical
+
+
 def test_validate_garbage_json_exits_3(tmp_path):
     bad = tmp_path / "garbage.json"
     bad.write_text("{nope")

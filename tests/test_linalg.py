@@ -157,6 +157,35 @@ def test_integer_fast_path_agrees_with_rref(m):
     assert integer_rank(grid, m.cols) == rank(m)
 
 
+def oracle_apply(m, v):
+    """The earlier `Matrix.apply`: a dense `Fraction` dot product per row."""
+    out = []
+    for row in m.data:
+        acc = Fraction(0)
+        for a, x in zip(row, v):
+            if a and x:
+                acc += a * x
+        out.append(acc)
+    return tuple(out)
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_apply_on_the_int_view_matches_fraction_dot_products(rows, cols, data):
+    grid = data.draw(st.lists(st.lists(rationals, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    v = data.draw(st.lists(rationals, min_size=cols, max_size=cols))
+    m = Matrix(grid, cols=cols)
+    ints, d = m._int_rows()
+    want = oracle_apply(m, v)
+    for matrix in (m, Matrix._from_ints([dict(row) for row in ints], d, cols)):
+        got = matrix.apply(v)
+        assert got == want
+        assert all(type(x) is Fraction for x in got)
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrices(max_dim=4), st.lists(small_entries, min_size=1, max_size=4))
 def test_solve_result_satisfies_system(m, rhs_seed):

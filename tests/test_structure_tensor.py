@@ -27,10 +27,11 @@ It is the reference for the sweep that stops at the certified bound
 `_charseq_bound` and prunes rank chains that cannot beat the best type,
 on members that reach that bound and on members that fall short of it.
 
-The search walks a memoised candidate stream, one held prefix per
-(dimension, budget, seed); the search tests compare it with the `Matrix`
-search on warm and cold memos, past a patched pair cap and over more
-keys than the memo keeps.
+The search walks a memoised tuple of the stream's first `budget`
+candidates per (dimension, budget, seed) when budget * n * n is under
+the pair cap, and the stream itself otherwise; the search tests compare
+it with the `Matrix` search on warm and cold memos, under and past a
+patched pair cap and over more keys than the memo keeps.
 
 The dense bases of the `members` strategy are flag-breaking
 (`oracles.flag_breaking_change`), integer or rational: a triangular
@@ -42,6 +43,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -93,7 +95,8 @@ from leibnizalg.isomorphism import (
     IsoCheck,
     SearchResult,
     _columns_matrix,
-    _held_stream,
+    _STREAM_HELD_PAIRS,
+    _held_candidates,
     _search_candidates,
     compare_fingerprints,
     fingerprint,
@@ -769,64 +772,88 @@ def search_pairs(draw):
 @pytest.fixture
 def cold_streams():
     """An empty candidate memo before the test and after it."""
-    _held_stream.cache_clear()
+    _held_candidates.cache_clear()
     yield
-    _held_stream.cache_clear()
+    _held_candidates.cache_clear()
+
+
+def stream_prefix(n, budget, seed):
+    return tuple(itertools.islice(_search_candidates(n, budget, seed), budget))
+
+
+def held(n, budget, cap=_STREAM_HELD_PAIRS):
+    """Whether a search of this dimension and budget walks the memo under the pair cap `cap`."""
+    return budget * max(n * n, 1) <= cap
 
 
 # Budgets up to 400 pass the permutation prefix (at most budget // 2 +
 # 2n + 2 candidates) into the seeded random tail at every dimension 3..7.
 # A few favoured budgets and seeds make keys repeat, and every search runs
 # twice in the drawn order, so later searches walk a warm memo that other
-# keys' searches have extended in between.
+# keys' searches filled in between.  With the pair cap patched to 4,000,
+# searches with budget * n * n above it draw the stream afresh.
 search_budgets = st.one_of(st.sampled_from((40, 260, 400)), st.integers(1, 400))
 search_seeds = st.one_of(st.sampled_from((3, SEARCH_SEED)), st.integers(0, 10**6))
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(search_pairs(), search_budgets, search_seeds), min_size=1, max_size=4))
-def test_search_matches_matrix_stream(searches):
+@given(st.lists(st.tuples(search_pairs(), search_budgets, search_seeds), min_size=1, max_size=4),
+       st.sampled_from((_STREAM_HELD_PAIRS, 4000)))
+def test_search_matches_matrix_stream(searches, cap):
     expected = [oracle_search(a, src, budget, seed) for (a, src), budget, seed in searches]
-    for _ in range(2):
-        for ((a, src), budget, seed), want in zip(searches, expected):
-            assert search_isomorphism(a, src, budget, seed) == want
-    for ((a, _), budget, seed), want in zip(searches, expected):
-        held = _held_stream(a.dim, budget, seed).held
-        assert len(held) >= want.trials
-        assert held == list(itertools.islice(_search_candidates(a.dim, budget, seed), len(held)))
+    _held_candidates.cache_clear()
+    with mock.patch.object(isomorphism, "_STREAM_HELD_PAIRS", cap):
+        for _ in range(2):
+            for ((a, src), budget, seed), want in zip(searches, expected):
+                assert search_isomorphism(a, src, budget, seed) == want
+    keys = {(a.dim, budget, seed) for (a, _), budget, seed in searches if held(a.dim, budget, cap)}
+    assert _held_candidates.cache_info().currsize == len(keys)
+    for key in keys:
+        assert _held_candidates(*key) == stream_prefix(*key)
 
 
-def test_search_past_the_pair_cap_matches_matrix_stream(monkeypatch, cold_streams):
+@pytest.mark.parametrize(
+    "n, budget, seed", [(7, 256, SEARCH_SEED), (3, 400, 11), (2, 1 << 14, 5), (1, 1 << 16, 0), (0, 1 << 16, 0)]
+)
+def test_held_key_is_the_stream_prefix_under_the_cap(n, budget, seed, cold_streams):
+    assert held(n, budget)
+    candidates = _held_candidates(n, budget, seed)
+    assert candidates == stream_prefix(n, budget, seed)
+    assert sum(len(col) for candidate in candidates for col in candidate) <= _STREAM_HELD_PAIRS
+
+
+def test_search_past_the_pair_cap_holds_nothing(monkeypatch, cold_streams):
     monkeypatch.setattr(isomorphism, "_STREAM_HELD_PAIRS", 60)
     src = catalog.make("Qstar", 7)
     lower = Matrix([[_ONE if c <= r else _ZERO for c in range(7)] for r in range(7)], cols=7)
-    # Found by the 26th candidate, past the 8 permutations that fit the cap.
+    # Found by the 26th candidate.
     swap = Matrix([[_ONE if (0, 1, 3, 2, 4, 5, 6)[c] == r else _ZERO for c in range(7)] for r in range(7)], cols=7)
     for q in (lower, swap, lower, swap):
         a = transform_algebra(src, q)
-        result = search_isomorphism(a, src, 300, 11)
-        assert result == oracle_search(a, src, 300, 11)
-        stream = _held_stream(7, 300, 11)
-        assert stream.pairs == sum(len(col) for candidate in stream.held for col in candidate) <= 60
-        assert result.trials > len(stream.held)
-        assert stream.held == list(itertools.islice(_search_candidates(7, 300, 11), len(stream.held)))
+        assert search_isomorphism(a, src, 300, 11) == oracle_search(a, src, 300, 11)
+        assert _held_candidates.cache_info().currsize == 0
 
 
 def test_memo_keeps_at_most_maxsize_keys(cold_streams):
     a = catalog.make("F1", 5)
-    info = _held_stream.cache_info()
+    info = _held_candidates.cache_info()
     assert info.maxsize is not None
     for seed in range(info.maxsize + 3):
         assert search_isomorphism(a, a, 3, seed).trials == 1
-        assert _held_stream.cache_info().currsize <= info.maxsize
-    assert _held_stream.cache_info().currsize == info.maxsize
+        assert _held_candidates.cache_info().currsize <= info.maxsize
+    assert _held_candidates.cache_info().currsize == info.maxsize
 
 
-def test_search_holds_only_the_candidates_it_reaches(cold_streams):
-    a = catalog.make("Nstar", 6)
-    result = search_isomorphism(a, a)
+@pytest.mark.parametrize(
+    "a, budget",
+    [(catalog.make("Nstar", 6), SEARCH_BUDGET), (abelian_algebra(0), isomorphism.MAX_SEARCH_BUDGET)],
+    ids=["default-budget", "dim-0"],
+)
+def test_search_over_the_cap_takes_no_memo_slot(a, budget, cold_streams):
+    assert not held(a.dim, budget)
+    result = search_isomorphism(a, a, budget)
     assert (result.status, result.trials) == ("found", 1)
-    assert len(_held_stream(a.dim, SEARCH_BUDGET, SEARCH_SEED).held) == 1
+    assert _held_candidates.cache_info().currsize == 0
 
 
 @settings(max_examples=60, deadline=None)
