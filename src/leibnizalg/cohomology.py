@@ -23,7 +23,7 @@ algebra's integer table, scattered from the table's nonzero products
 and sorted into canonical (i, j, k) order.  The defect of a form at a
 basis triple is (row . theta) / D; violation reports, the cocycle test
 and the ZL^2 kernel all read those rows, and the kernel eliminates them
-as ints.  `condition_matrix` is a dense view of them divided by D, for
+as ints.  `condition_matrix` is the same rows over D as a `Matrix`, for
 display and measurement, not the path to ZL^2.
 
 The coboundary map is encoded once too, as the rows of
@@ -44,7 +44,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Algebra, Subspace
-from .linalg import Echelon, Matrix, Vector, _exact_row, common_denominator, frac, rank, sparse
+from .linalg import Echelon, Matrix, Vector, _integer_vector, common_denominator, frac, rank
 
 _ZERO = Fraction(0)
 
@@ -151,13 +151,9 @@ class BilinearForm:
         n = self.dim
         if len(x) != n or len(y) != n:
             raise ValueError("vectors must have length %d" % n)
-        xs, dx = _exact_row(sparse(x))
-        ys, dy = _exact_row(sparse(y))
-        acc = 0
-        for p, c in self.entries.items():
-            i, j = divmod(p, n)
-            if i in xs and j in ys:
-                acc += xs[i] * ys[j] * c
+        xs, dx = _integer_vector(x)
+        ys, dy = _integer_vector(y)
+        acc = sum(xs[p // n] * ys[p % n] * c for p, c in self.entries.items())
         return Fraction(acc, dx * dy * self.denominator)
 
     def scale(self, c: int | str | Fraction) -> "BilinearForm":
@@ -322,15 +318,8 @@ def is_cocycle(a: Algebra, form: BilinearForm) -> bool:
 
 
 def condition_matrix(a: Algebra) -> Matrix:
-    """The cocycle-condition system as a dense matrix over the n^2 unknowns."""
-    width, den = a.dim * a.dim, a.table.denominator
-    dense = []
-    for _, row in _condition_rows(a):
-        v = [Fraction(0)] * width
-        for p, c in row.items():
-            v[p] = Fraction(c, den)
-        dense.append(v)
-    return Matrix(dense, cols=width)
+    """The cocycle-condition system as a matrix over the n^2 unknowns: `_condition_rows` over D."""
+    return Matrix._from_ints([row for _, row in _condition_rows(a)], a.table.denominator, a.dim * a.dim)
 
 
 @dataclass(frozen=True)

@@ -363,8 +363,9 @@ class Subspace:
     Its held rows, the rref as primitive ints, are unique, so equality and
     the hash compare them; `basis`, the rref as dense `Fraction` rows, is
     derived on each use and not kept.  `Subspace(ambient, rows)` spans
-    sparse rows {column: int or Fraction}, `span` dense vectors.  The
-    echelon is never changed after construction: subspaces are memoized.
+    sparse rows {column: int or Fraction}; `span`, `reduce` and `contains`
+    read dense vectors by `_integer_vector`.  The echelon is never changed
+    after construction: subspaces are memoized.
     """
 
     __slots__ = ("ambient", "_echelon")
@@ -375,7 +376,7 @@ class Subspace:
 
     @staticmethod
     def span(ambient: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
-        return Subspace(ambient, map(sparse, vectors))
+        return Subspace(ambient, (sparse(_integer_vector(v)[0]) for v in vectors))
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
@@ -413,12 +414,13 @@ class Subspace:
     def reduce(self, v: Sequence[Fraction]) -> Vector:
         """Residue of v after elimination against the rref basis."""
         self._check_ambient(len(v))
-        residue = self._echelon.reduce(sparse(v))
-        return tuple(residue.get(j, _ZERO) for j in range(self.ambient))
+        xs, den = _integer_vector(v)
+        residue, scale = self._echelon.reduce_ints(sparse(xs))
+        return tuple(Fraction(residue.get(j, 0), den * scale) for j in range(self.ambient))
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         self._check_ambient(len(v))
-        return not self._echelon.reduce(sparse(v))
+        return not self._echelon.reduce_ints(sparse(_integer_vector(v)[0]))[0]
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other.ambient)

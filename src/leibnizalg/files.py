@@ -257,7 +257,7 @@ def forms_from_dict(data: dict) -> tuple[int, tuple[BilinearForm, ...]]:
 
 
 def matrix_to_dict(m: Matrix) -> dict:
-    """The matrix document, written from the int view `Matrix._int_rows`."""
+    """The matrix document, written from the int rows that `Matrix` stores."""
     rows, den = m._int_rows()
     entries = []
     for row in rows:
@@ -269,10 +269,8 @@ def matrix_to_dict(m: Matrix) -> dict:
 
 
 def matrix_from_dict(data: dict) -> Matrix:
-    rows = _index(data.get("rows"), "rows")
-    cols = _index(data.get("cols"), "cols")
-    if rows < 0 or cols < 0:
-        raise FileFormatError("rows and cols must be nonnegative")
+    rows = _size(data.get("rows"), "rows")
+    cols = _size(data.get("cols"), "cols")
     entries = _expect_list(data.get("entries"), "entries")
     if len(entries) != rows:
         raise FileFormatError("expected %d rows, got %d" % (rows, len(entries)))

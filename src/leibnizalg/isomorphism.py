@@ -13,9 +13,8 @@ rather than a distinction.
 
 Bracket images are compared on machine ints, against the integer
 structure constants of both algebras (`Algebra.table`).
-`verify_isomorphism` reads a witness as sparse integer rows over its
-common denominator (`Matrix._int_rows`: kept by a matrix built from
-ints, as reduce and search matrices are, else derived once from `data`),
+`verify_isomorphism` reads a witness as the sparse integer rows over
+one denominator that every `Matrix` stores (`Matrix._int_rows`),
 rejects it as singular by the `Echelon` rank of the columns, and then
 scatters: one basis row at a time, each product of the target algebra
 is sent through the rows of the witness.

@@ -2,13 +2,11 @@
 
 The scalar type is `fractions.Fraction`: arbitrary-precision rationals,
 always in lowest terms with positive denominator, so every computation in
-this module is exact.  Matrices are immutable, row-major grids of
-Fractions.  A matrix built from sparse int rows over one denominator
-(`Matrix._from_ints`) keeps only those rows, its int view, so a consumer
-that works on ints, as `isomorphism.verify_isomorphism` and
+this module is exact.  A `Matrix` is immutable and stored once, as
+sparse int rows over one denominator in canonical form, so a consumer
+that works on ints, as `rank`, `inverse`, `verify_isomorphism` and
 `files.matrix_to_dict` do, never builds its Fractions; its `Fraction`
-grid is derived on first read.  Any other matrix derives the int view
-from its entries on first use.
+grid `data` is derived on first read.
 
 Elimination has one kernel, `Echelon`, and it is fraction-free: rows
 are sparse dicts {column: int}, held primitive (content 1) with a
@@ -40,13 +38,15 @@ Determinism conventions, relied on throughout the package:
 * `kernel_basis` enumerates free columns in increasing order and sets the
   free coordinate of each basis vector to 1.
 
-Floats are refused at construction time, by `Matrix.apply` and every
-other entry point that clears a vector with `_integer_vector`, and by
-`Echelon`, and
+A rational vector from outside the kernel is read by one reader,
+`_integer_vector`: the `Matrix` constructor, `Matrix.apply`,
+`core.bracket`, `core.right_mult_operator`, `core.Subspace` and
+`cohomology.BilinearForm.evaluate` all clear theirs with it, so each
+takes ints, Fractions and literals like "1/2" and refuses floats.
+`Echelon` takes only ints and Fractions (`_exact_row`).
 `parse_rational`, the one parser of rational literals behind `frac`,
-refuses exponents; the one
-floating-point helper lives elsewhere and never feeds back into exact
-results.
+refuses exponents.  The one floating-point helper lives elsewhere and
+never feeds back into exact results.
 """
 
 from __future__ import annotations
@@ -127,9 +127,9 @@ def unit_vector(n: int, i: int) -> Vector:
 def _integer_vector(x: Iterable[int | str | Fraction]) -> tuple[list[int], int]:
     """x as ints over their least common denominator, with that denominator.
 
-    Entries that are not `Fraction`s go through `frac`, so a float is refused.
+    Entries that are not ints or `Fraction`s go through `frac`, so a float is refused.
     """
-    x = [v if type(v) is Fraction else frac(v) for v in x]
+    x = [v if type(v) is Fraction or type(v) is int else frac(v) for v in x]
     den = common_denominator(x)
     if den == 1:
         return [v.numerator for v in x], 1
@@ -137,22 +137,24 @@ def _integer_vector(x: Iterable[int | str | Fraction]) -> tuple[list[int], int]:
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions.
+    """Immutable matrix of rationals, stored once: sparse int rows over one denominator.
 
-    `data` is a tuple of row tuples.  Entries that are already `Fraction`s
-    are kept as they are; anything else goes through `frac`, so floats and
-    exponent literals are refused.  An explicit `cols` count is required
-    when constructing a matrix with zero rows, since the width cannot be
-    inferred.  `_int_rows` is an int view of `data`.  A matrix built by
-    `_from_ints` keeps only the int rows it was built from, and `data` is
-    derived from them on first read; any other matrix keeps `data` and
-    derives the int view on first use.
+    `_ints` is (rows, den): each row the nonzero (column, int) pairs in
+    column order, den > 0, and no common factor of den and the entries,
+    so equal matrices have equal `_ints`, which equality and the hash
+    compare.  Entries given to the constructor are read by
+    `_integer_vector`, so ints, Fractions and literals like "-3/2" are
+    taken and floats and exponent literals refused; `_from_ints` builds
+    from int rows directly.  An explicit `cols` count is required when
+    constructing a matrix with zero rows, since the width cannot be
+    inferred.  `data`, the rows as tuples of Fractions, is derived on
+    first read.
     """
 
     __slots__ = ("rows", "cols", "_data", "_ints")
 
     def __init__(self, data: Iterable[Iterable[int | str | Fraction]], cols: int | None = None):
-        grid = tuple(tuple(x if type(x) is Fraction else frac(x) for x in row) for row in data)
+        grid = [list(row) for row in data]
         if grid:
             width = len(grid[0])
             if any(len(row) != width for row in grid):
@@ -162,31 +164,26 @@ class Matrix:
             cols = width
         elif cols is None:
             raise ValueError("a matrix with no rows needs an explicit column count")
-        self._data: tuple[Vector, ...] | None = grid
-        self.rows: int = len(grid)
-        self.cols: int = cols
-        self._ints: tuple[IntRows, int] | None = None
+        # Over the least common denominator of the entries, the rows are already canonical.
+        xs, den = _integer_vector([x for row in grid for x in row])
+        self._data, self.rows, self.cols = None, len(grid), cols
+        self._ints = (tuple(tuple((j, x) for j, x in enumerate(xs[i * cols:i * cols + cols]) if x)
+                            for i in range(len(grid))), den)
 
     @staticmethod
     def _from_ints(rows: Sequence[Mapping[int, int]], den: int, cols: int) -> "Matrix":
-        """The matrix rows / den, from sparse int rows {column: int} over one nonzero den.
-
-        The rows are put over the least common denominator of the entries,
-        in column order, and kept as the int view; `data` is derived from
-        them on first read, so the two cannot disagree.
-        """
+        """The matrix rows / den, from sparse int rows {column: int} over one nonzero den, made canonical."""
         g = math.gcd(den, *(x for row in rows for x in row.values()))
         if den < 0:
             g = -g
-        den //= g
         ints = tuple(tuple((j, x // g) for j, x in sorted(row.items()) if x) for row in rows)
         m = Matrix.__new__(Matrix)
-        m._data, m.rows, m.cols, m._ints = None, len(ints), cols, (ints, den)
+        m._data, m.rows, m.cols, m._ints = None, len(ints), cols, (ints, den // g)
         return m
 
     @property
     def data(self) -> tuple[Vector, ...]:
-        """The rows as tuples of Fractions; derived from the int view on first read when not kept."""
+        """The rows as tuples of Fractions, derived from `_ints` on first read."""
         if self._data is None:
             ints, den = self._ints
             grid = []
@@ -200,19 +197,15 @@ class Matrix:
 
     def _int_rows(self) -> tuple[IntRows, int]:
         """The rows times their least common denominator d, as sparse (column, int) pairs, and d."""
-        if self._ints is None:
-            rows = [[(j, x) for j, x in enumerate(row) if x] for row in self.data]
-            d = common_denominator(x for row in rows for _, x in row)
-            self._ints = (tuple(tuple((j, x.numerator * (d // x.denominator)) for j, x in row) for row in rows), d)
         return self._ints
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], cols=n)
+        return Matrix._from_ints([{i: 1} for i in range(n)], 1, n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix([[_ZERO] * cols for _ in range(rows)], cols=cols)
+        return Matrix._from_ints([{}] * rows, 1, cols)
 
     @staticmethod
     def from_columns(columns: Sequence[Vector]) -> "Matrix":
@@ -228,38 +221,45 @@ class Matrix:
         return tuple(row[j] for row in self.data)
 
     def transpose(self) -> "Matrix":
-        return Matrix([self.column(j) for j in range(self.cols)], cols=self.rows)
+        ints, den = self._ints
+        out: list[dict[int, int]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(ints):
+            for j, x in row:
+                out[j][i] = x
+        return Matrix._from_ints(out, den, self.rows)
 
     def apply(self, v: Sequence[int | str | Fraction]) -> Vector:
         """Matrix-vector product, in `Fraction`s.
 
-        Entries of v that are not `Fraction`s go through `frac`, as in the
-        constructor, so a float is refused rather than carried into the
-        result.  v is cleared to ints over its common denominator
-        (`_integer_vector`) and multiplied into the int view `_int_rows`,
-        so each entry of the result is one `Fraction` built from an int sum.
+        v is read by `_integer_vector`, as the constructor reads entries, and
+        multiplied into the int rows, so each entry of the result is one
+        `Fraction` built from an int sum.
         """
         if len(v) != self.cols:
             raise ValueError("vector of length %d against %d columns" % (len(v), self.cols))
         xs, dv = _integer_vector(v)
-        rows, d = self._int_rows()
+        rows, d = self._ints
         den = d * dv
         return tuple(Fraction(s, den) if (s := sum([c * xs[j] for j, c in row])) else _ZERO for row in rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch %dx%d @ %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        cols = other.transpose().data
-        return Matrix(
-            [[sum((a * b for a, b in zip(row, col) if a and b), _ZERO) for col in cols] for row in self.data],
-            cols=other.cols,
-        )
+        (left, da), (right, db) = self._ints, other._ints
+        out = []
+        for row in left:
+            acc: dict[int, int] = {}
+            for k, x in row:
+                for j, y in right[k]:
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append(acc)
+        return Matrix._from_ints(out, da * db, other.cols)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Matrix) and self.cols == other.cols and self.data == other.data
+        return isinstance(other, Matrix) and self.cols == other.cols and self._ints == other._ints
 
     def __hash__(self) -> int:
-        return hash((self.cols, self.data))
+        return hash((self.cols, self._ints))
 
     def __repr__(self) -> str:
         return "Matrix(%d x %d)" % (self.rows, self.cols)
@@ -440,7 +440,7 @@ def sparse(v: Iterable[int | Fraction]) -> dict[int, int | Fraction]:
 
 
 def _echelon(m: Matrix) -> Echelon:
-    return Echelon(m.cols, map(sparse, m.data))
+    return Echelon(m.cols, map(dict, m._ints[0]))
 
 
 def rank(m: Matrix) -> int:
@@ -455,14 +455,17 @@ def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
 
 
 def inverse(m: Matrix) -> Matrix | None:
-    """Inverse of a square matrix, or None when singular."""
+    """Inverse of a square matrix, or None when singular: with m = R / d, the rref of [R | d*I] is [I | m^-1]."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
-    e = Echelon(2 * n, ({**sparse(row), n + i: 1} for i, row in enumerate(m.data)))
+    rows, d = m._ints
+    e = Echelon(2 * n, ({**dict(row), n + i: d} for i, row in enumerate(rows)))
     if any(p not in e.held for p in range(n)):
         return None
-    return Matrix([row[n:] for row in e.dense_rows()], cols=n)
+    held = sorted(e.held.items())  # each row is its rref row times its pivot entry
+    den = math.lcm(*(row[p] for p, row in held))
+    return Matrix._from_ints([{j - n: x * den // row[p] for j, x in row.items() if j >= n} for p, row in held], den, n)
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:

@@ -273,6 +273,7 @@ _FLOAT_ENTRY_POINTS = {
     "Matrix.apply": lambda x: Matrix.identity(2).apply((x, 1)),
     "Subspace.span": lambda x: Subspace.span(2, [(x, 1)]),
     "Subspace.contains": lambda x: Subspace.full(2).contains((x, 1)),
+    "Subspace.reduce": lambda x: Subspace.span(2, [(1, 1)]).reduce((x, 1)),
     "BilinearForm": lambda x: BilinearForm(2, [[x, 0], [0, 0]]),
     "BilinearForm.evaluate": lambda x: BilinearForm.singleton(2, 1, 1).evaluate((x, 1), (1, 0)),
 }
@@ -284,6 +285,12 @@ def test_rational_entry_points_refuse_floats(name):
     with pytest.raises(TypeError, match="float 0.5"):
         call(0.5)
     call(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_ENTRY_POINTS))
+def test_rational_entry_points_read_literals_as_fractions(name):
+    call = _FLOAT_ENTRY_POINTS[name]
+    assert call("1/2") == call(Fraction(1, 2))
 
 
 def test_bracket_and_apply_take_ints_and_literals_as_rationals():

@@ -103,6 +103,11 @@ def test_matrix_round_trip(tmp_path):
     assert files.read_matrix_file(path) == m
 
 
+def test_matrix_entries_are_written_in_lowest_terms():
+    m = files.matrix_from_dict({"rows": 1, "cols": 3, "entries": [["2/4", "-6/3", 0]]})
+    assert files.matrix_to_dict(m)["entries"] == [["1/2", "-2", "0"]]
+
+
 # Literals a reader may meet, each of which must keep the value or the
 # exception of `Fraction(str)` behind the earlier `frac`.
 HOSTILE_LITERALS = (

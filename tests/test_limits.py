@@ -52,6 +52,25 @@ def test_cocycle_document_refuses_dim_and_k_above_limit(max_dim_3):
         files.forms_from_dict({"dim": 2, "k": 4, "entries": []})
 
 
+def test_matrix_document_refuses_rows_and_cols_above_limit(max_dim_3):
+    assert files.matrix_from_dict({"rows": 3, "cols": 0, "entries": [[]] * 3}).rows == 3
+    for key in ("rows", "cols"):
+        doc = {"rows": 1, "cols": 1, "entries": [["1"]], key: 4}
+        with pytest.raises(files.FileFormatError, match="%s = 4 exceeds the limit of 3" % key):
+            files.matrix_from_dict(doc)
+
+
+def test_cli_iso_verify_refuses_matrix_rows_above_limit(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    m = tmp_path / "m.json"
+    files.write_algebra_file(a, catalog.make("NF", 3))
+    m.write_text(json.dumps({"rows": core.MAX_DIM + 1, "cols": 3, "entries": []}))
+    with pytest.raises(files.FileFormatError, match="rows = %d exceeds" % (core.MAX_DIM + 1)):
+        files.read_matrix_file(m)
+    assert main(["iso", "verify", str(a), str(a), str(m)]) == 3
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
 def test_cli_oversized_algebra_file_exits_3(max_dim_3, tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"dim": 4, "brackets": []}))

@@ -4,6 +4,7 @@
 test oracles in `oracles`; their frozen cases stay here.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibnizalg.core import Subspace
+from leibnizalg.files import matrix_from_dict, matrix_to_dict
 from leibnizalg.linalg import (
     Matrix,
     frac,
@@ -58,8 +60,8 @@ def test_matrix_refuses_a_float_among_fractions():
 
 
 def test_span_refuses_float_entries():
-    # `sparse` passes entries through; the elimination itself refuses floats
-    with pytest.raises(TypeError, match="refusing to eliminate float"):
+    # `span` reads each vector with `_integer_vector`, which refuses floats
+    with pytest.raises(TypeError, match="refusing to coerce float 0.5"):
         Subspace.span(2, [(Fraction(1), 0.5)])
 
 
@@ -184,6 +186,31 @@ def test_apply_on_the_int_view_matches_fraction_dot_products(rows, cols, data):
         got = matrix.apply(v)
         assert got == want
         assert all(type(x) is Fraction for x in got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 6), st.booleans(), st.data())
+def test_every_construction_stores_one_canonical_form(rows, cols, k, negate, data):
+    # A grid, its int rows scaled by k over d*k, and its document read back
+    # are one matrix: equal int rows, so equal data, equality and hash.
+    grid = data.draw(st.lists(st.lists(rationals, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    m = Matrix(grid, cols=cols)
+    ints, d = m._int_rows()
+    assert d > 0 and math.gcd(d, *(x for row in ints for _, x in row)) == 1
+    assert all(x and [j for j, _ in row] == sorted(j for j, _ in row) for row in ints for _, x in row)
+    assert m.data == tuple(tuple(Fraction(x) for x in row) for row in grid)
+    k = -k if negate else k
+    scaled = Matrix._from_ints([{j: x * k for j, x in row} for row in ints], d * k, cols)
+    for other in (scaled, matrix_from_dict(matrix_to_dict(m))):
+        assert other == m and hash(other) == hash(m)
+        assert other._int_rows() == m._int_rows()
+        assert other.data == m.data
+    inv = inverse(m) if rows == cols else None
+    if inv is not None:
+        # Echelon runs on [d*m | d*I]: an identity block of 1s would give m^-1 / d
+        assert inv @ m == Matrix.identity(rows) == m @ inv
+        v = data.draw(st.lists(rationals, min_size=cols, max_size=cols))
+        assert inv.apply(m.apply(v)) == tuple(v)
 
 
 @settings(max_examples=40, deadline=None)
