@@ -265,14 +265,29 @@ def transform_algebra(a: Algebra, q: Matrix) -> Algebra:
     if qinv is None:
         raise ValueError("change of basis is singular")
     n = a.dim
-    cols = [q.column(i) for i in range(n)]
-    records = (
-        (i + 1, j + 1, k + 1, c)
-        for i in range(n)
-        for j in range(n)
-        for k, c in enumerate(qinv.apply(bracket(a, cols[i], cols[j])))
-    )
-    return _from_records(n, records, checked=a.checked)
+    rows, d = q._int_rows()
+    cols = [[0] * n for _ in range(n)]  # column j of d*q, dense
+    for r, row in enumerate(rows):
+        for j, x in row:
+            cols[j][r] = x
+    inv_rows, d_inv = qinv._int_rows()
+    den = d_inv * d * d * a.table.denominator
+    products = a.table.products.items()
+    records = []
+    for i, x in enumerate(cols):
+        for j, y in enumerate(cols):
+            acc = [0] * n  # d*d*D_a times [q e_i, q e_j], in a's coordinates
+            for (r, s), terms in products:
+                f = x[r] * y[s]
+                if f:
+                    for k, c in terms:
+                        acc[k] += f * c
+            for k, row in enumerate(inv_rows):
+                v = sum([c * acc[t] for t, c in row])
+                if v:
+                    g = math.gcd(v, den)
+                    records.append((i + 1, j + 1, k + 1, v // g, den // g))
+    return _from_int_records(n, records, checked=a.checked)
 
 
 def bracket(a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
@@ -357,6 +372,11 @@ def _violation(i: int, jk: int, n: int, defect: list[int], scale: int) -> Leibni
     return LeibnizViolation(i + 1, j + 1, k + 1, _rational_vector(defect, scale))
 
 
+def _check_ambient(size: int, ambient: int) -> None:
+    if size != ambient:
+        raise ValueError("ambient dimension %d against %d" % (size, ambient))
+
+
 class Subspace:
     """Subspace of Q^ambient, stored once: the fraction-free `Echelon` of a spanning set.
 
@@ -376,7 +396,11 @@ class Subspace:
 
     @staticmethod
     def span(ambient: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
-        return Subspace(ambient, (sparse(_integer_vector(v)[0]) for v in vectors))
+        rows = []
+        for v in vectors:
+            _check_ambient(len(v), ambient)
+            rows.append(sparse(_integer_vector(v)[0]))
+        return Subspace(ambient, rows)
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
@@ -407,27 +431,23 @@ class Subspace:
     def __repr__(self) -> str:
         return "Subspace(ambient=%d, pivots=%r)" % (self.ambient, self.pivots)
 
-    def _check_ambient(self, size: int) -> None:
-        if size != self.ambient:
-            raise ValueError("ambient dimension %d against %d" % (size, self.ambient))
-
     def reduce(self, v: Sequence[Fraction]) -> Vector:
         """Residue of v after elimination against the rref basis."""
-        self._check_ambient(len(v))
+        _check_ambient(len(v), self.ambient)
         xs, den = _integer_vector(v)
         residue, scale = self._echelon.reduce_ints(sparse(xs))
         return tuple(Fraction(residue.get(j, 0), den * scale) for j in range(self.ambient))
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        self._check_ambient(len(v))
+        _check_ambient(len(v), self.ambient)
         return not self._echelon.reduce_ints(sparse(_integer_vector(v)[0]))[0]
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_ambient(other.ambient)
+        _check_ambient(other.ambient, self.ambient)
         return not any(self._echelon.reduce_ints(row)[0] for row in other._echelon.held.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other.ambient)
+        _check_ambient(other.ambient, self.ambient)
         return Subspace(self.ambient, [*self._echelon.held.values(), *other._echelon.held.values()])
 
 

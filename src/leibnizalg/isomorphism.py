@@ -18,16 +18,26 @@ one denominator that every `Matrix` stores (`Matrix._int_rows`),
 rejects it as singular by the `Echelon` rank of the columns, and then
 scatters: one basis row at a time, each product of the target algebra
 is sent through the rows of the witness.
-The search filters its candidates pair by pair instead (`_brackets_match`),
-so a wrong candidate is dropped at its first failing pair, and every
-candidate that passes is built as a `Matrix` and re-verified by
-`verify_isomorphism` before it is returned.
+
+The search filters its candidates on one number per basis pair instead
+(`_passing`): both sides of the bracket condition are dotted with a
+fixed vector w of nonzero odd ints (`_WEIGHTS`), a one-sided
+Freivalds-style test.  w . [p e_i, p e_j] is read off the projections
+w . C_b[k, l] of b's products, computed once per search, and
+w . p([e_i, e_j]) off the projections w . p e_m of the candidate's
+columns.  Unequal projections prove that the bracket fails, so no
+isomorphism is ever dropped; most wrong candidates are dropped at the
+first pair.  A candidate that passes every pair is built as a `Matrix`
+and checked by `verify_isomorphism`, exactly and once, so a collision
+of projections costs one extra verify.
 
 The candidate stream depends only on (dimension, budget, seed), never on
 the algebras.  A search whose budget bounds it to at most 2**16 (row,
 entry) pairs walks the stream's first `budget` candidates as one
-memoised tuple per key (`_held_candidates`); any other search draws the
-stream afresh and holds nothing.
+memoised tuple per key (`_held_candidates`), each held with the
+projections of its columns and its dense first column; any other search
+draws the stream afresh, computes only the projections that a pair
+reads, and holds nothing.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
+    MAX_DIM,
     Algebra,
     CharSeq,
     _products_by_row,
@@ -62,9 +73,16 @@ MAX_SEARCH_BUDGET = 1_000_000
 _STREAM_KEYS = 8
 _STREAM_HELD_PAIRS = 1 << 16
 
+# The search's projection weights: one nonzero odd int per coordinate,
+# distinct, since an odd multiplier permutes the odd residues mod 2**16.
+_WEIGHTS = tuple((2 * t + 1) * 40503 % (1 << 16) for t in range(MAX_DIM))
+
 # A change of basis as sparse integer columns: column j lists the nonzero
 # (row, entry) pairs of d*p for the common denominator d of p.
 Columns = tuple[tuple[tuple[int, int], ...], ...]
+# A memoised candidate: its columns, the projection w . col_m of each
+# column, and its first column as a dense tuple.
+HeldCandidate = tuple[Columns, tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -168,48 +186,97 @@ def _columns_matrix(cols: Columns) -> Matrix:
     return Matrix._from_ints(rows, 1, n)
 
 
-def _brackets_match(a: Algebra, b: Algebra, cols: Columns, d: int) -> tuple[int, int] | None:
-    """First 1-based basis pair where p = cols/d breaks the bracket, else None.
+def _projection(col: tuple[tuple[int, int], ...]) -> int:
+    """w . col for the fixed weights w."""
+    w = _WEIGHTS
+    return sum([x * w[t] for t, x in col])
 
-    With P = d*p and integer products C_a = D_a*c_a, C_b = D_b*c_b, the
-    condition p([e_i, e_j]_a) = [p e_i, p e_j]_b reads
-    d*D_b*(P C_a[i,j]) = D_a * sum_{k,l} P_ki P_lj C_b[k,l].
 
-    This is the search's filter.  It gathers, pair by pair: for (i, j) it
-    looks up b's product of each pair of nonzero entries of columns i and
-    j, so most wrong candidates are dropped after the first pair or a few.
-    The row-by-row scatter of `verify_isomorphism` must build a whole row
-    of right-hand sides before its first comparison, which pays on a full
-    check but not on a candidate that fails early.
+def _dense(col: tuple[tuple[int, int], ...], n: int) -> tuple[int, ...]:
+    v = [0] * n
+    for t, x in col:
+        v[t] = x
+    return tuple(v)
+
+
+def _passing(a: Algebra, b: Algebra, candidates):
+    """Trial number and columns of each candidate that passes the projected bracket test.
+
+    The bracket condition at (i, j) is `verify_isomorphism`'s with d = 1,
+    since candidates are integer: D_b*(P C_a[i,j]) = D_a * sum_{k,l} P_ki
+    P_lj C_b[k,l].  Both sides are dotted with the fixed weights w, so
+    the left one reads sum_m C_a[i,j]_m (w . col_m) off the projections of
+    the columns, and the right one sum_{k,l} P_ki P_lj beta(k,l) off
+    beta(k,l) = w . C_b[k,l], computed once.  `terms_a[i*n + j]` holds the
+    terms of C_a[i,j] and `beta[k][l]` the values, scaled by the
+    gcd-reduced D_b and D_a; `products_b` lists the nonzero
+    (k, l, beta[k][l]).
+
+    `candidates` yields (cols, proj, first): `proj[m]` is w . col_m, or
+    None until a pair reads it, when it is computed and stored; `first`
+    is the dense column 0, or None until it is needed.  Unequal projections
+    prove that the bracket fails at (i, j), so a dropped candidate is
+    never an isomorphism; one that passes all n*n pairs may still fail an
+    exact bracket, and must be verified.  Most wrong candidates fail at
+    (e_1, e_1), so that pair is tested first on its own, summing over
+    whichever is smaller: the pairs of column 0, or b's products against
+    the dense column 0.
     """
     n = a.dim
-    get_a = a.table.products.get
-    get_b = b.table.products.get
-    left, right = d * b.table.denominator, a.table.denominator
+    left, right = b.table.denominator, a.table.denominator
     g = math.gcd(left, right)
     left, right = left // g, right // g
-    for i in range(n):
-        col_i = cols[i]
-        for j in range(n):
-            lhs = [0] * n
-            for m, c in get_a((i, j), ()):
-                for t, x in cols[m]:
-                    lhs[t] += c * x
-            rhs = [0] * n
-            for k, x in col_i:
-                for l, y in cols[j]:
-                    terms = get_b((k, l))
-                    if terms:
-                        f = x * y
-                        for t, c in terms:
-                            rhs[t] += f * c
-            if left != 1:
-                lhs = [left * v for v in lhs]
-            if right != 1:
-                rhs = [right * v for v in rhs]
+    terms_a = [()] * (n * n)
+    for (i, j), terms in a.table.products.items():
+        terms_a[i * n + j] = tuple((m, left * c) for m, c in terms)
+    beta = [[0] * n for _ in range(n)]
+    for (k, l), terms in b.table.products.items():
+        beta[k][l] = right * _projection(terms)
+    products_b = [(k, l, v) for k, row in enumerate(beta) for l, v in enumerate(row) if v]
+    n_products = len(products_b)
+    terms_00 = terms_a[0] if n else ()
+    for trial, (cols, proj, first) in enumerate(candidates, 1):
+        if n:
+            col0 = cols[0]
+            rhs = 0
+            if n_products < len(col0) ** 2:
+                if first is None:
+                    first = _dense(col0, n)
+                for k, l, v in products_b:
+                    x = first[k]
+                    if x:
+                        y = first[l]
+                        if y:
+                            rhs += x * y * v
+            else:
+                for k, x in col0:
+                    row = beta[k]
+                    rhs += x * sum([y * row[l] for l, y in col0])
+            lhs = 0
+            for m, c in terms_00:
+                v = proj[m]
+                if v is None:
+                    v = proj[m] = _projection(cols[m])
+                lhs += c * v
             if lhs != rhs:
-                return (i + 1, j + 1)
-    return None
+                continue
+        for ij in range(1, n * n):
+            i, j = divmod(ij, n)
+            col_j = cols[j]
+            rhs = 0
+            for k, x in cols[i]:
+                row = beta[k]
+                rhs += x * sum([y * row[l] for l, y in col_j])
+            lhs = 0
+            for m, c in terms_a[ij]:
+                v = proj[m]
+                if v is None:
+                    v = proj[m] = _projection(cols[m])
+                lhs += c * v
+            if lhs != rhs:
+                break
+        else:
+            yield trial, cols
 
 
 def verify_isomorphism(a: Algebra, b: Algebra, p: Matrix) -> IsoCheck:
@@ -222,8 +289,7 @@ def verify_isomorphism(a: Algebra, b: Algebra, p: Matrix) -> IsoCheck:
     checked one row i at a time: every product (k, l) of b with P_ki != 0
     is scattered through row l of P into the differences of all j at
     once, and a's products (i, j) are subtracted, so only the sums of one
-    row are held.  The failing pair is the first in (i, j) order, as in
-    `_brackets_match`.
+    row are held.  The failing pair is the first in (i, j) order.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch: %d vs %d" % (a.dim, b.dim))
@@ -326,32 +392,39 @@ def _search_candidates(n: int, budget: int, seed: int):
 
 
 @lru_cache(maxsize=_STREAM_KEYS)
-def _held_candidates(n: int, budget: int, seed: int) -> tuple[Columns, ...]:
+def _held_candidates(n: int, budget: int, seed: int) -> tuple[HeldCandidate, ...]:
     """The first `budget` candidates of `_search_candidates(n, budget, seed)`, memoised.
 
-    The stream does not depend on the algebras, so every search with the
-    same key walks the same candidates.  `search_isomorphism` holds a key
-    only when budget * max(n*n, 1) is at most `_STREAM_HELD_PAIRS` (2**16):
-    a candidate has at most n*n (row, entry) pairs, and counts as one at
-    n = 0.  Equal pairs are one shared tuple.  At most `_STREAM_KEYS` (8)
-    keys are held.  Worst case, measured with tracemalloc on CPython 3.11
-    at the largest held budget for n = 1..10, 16, 32, 64: a key holds at
-    most 6.9 MB, at n = 1, where every column is one pair with its own
-    tuple, and at most 2.9 MB for n >= 2.  So the memo holds at most about
-    55 MB, and about 23 MB when every key has n >= 2.  A budget-256 key at
+    Each is held with the projections w . col_m of its columns and its
+    dense first column, the parts of the search's filter (`_passing`)
+    that do not depend on the algebras.  The stream does not depend on
+    them either, so every search with the same key walks the same
+    candidates.  `search_isomorphism` holds a key only when
+    budget * max(n*n, 1) is at most `_STREAM_HELD_PAIRS` (2**16): a
+    candidate has at most n*n (row, entry) pairs, and counts as one at
+    n = 0.  Equal pairs, columns, candidates, projection tuples, first
+    columns and entries are each one shared tuple.  At most `_STREAM_KEYS` (8) keys are held.  Worst
+    case, measured with tracemalloc on CPython 3.11 at the largest held
+    budget for n = 1..10, 16, 32, 64: a key holds at most 1.5 MB, at n = 4,
+    and 0.53 and 0.15 MB at n = 1 and 2, where a few distinct candidates
+    recur.  So the memo holds at most about 12 MB.  A budget-256 key at
     n <= 7 holds at most 3,652 pairs.
 
     The first search of a key builds all its candidates.  Best of 5 on a
-    2-vCPU host whose speed varies up to twofold, that took 6.5 ms at the
-    benchmark's (7, 256), 76 ms at (5, 2,621), 114 ms at (2, 10,000), the
-    CLI default budget on a 2-dimensional algebra, and 0.44 s at
+    2-vCPU host whose speed varies up to twofold, that took 5.6 ms at the
+    benchmark's (7, 256), 60 ms at (5, 2,621), 84 ms at (2, 10,000), the
+    CLI default budget on a 2-dimensional algebra, and 0.33 s at
     (1, 65,536).
     """
     intern = {}.setdefault
-    return tuple(
-        tuple(tuple(intern(pair, pair) for pair in col) for col in candidate)
-        for candidate in itertools.islice(_search_candidates(n, budget, seed), budget)
-    )
+    held = []
+    for cols in itertools.islice(_search_candidates(n, budget, seed), budget):
+        cols = tuple(intern(col, tuple(intern(pair, pair) for pair in col)) for col in cols)
+        proj = tuple(map(_projection, cols))
+        first = _dense(cols[0], n) if n else ()
+        entry = (intern(cols, cols), intern(proj, proj), intern(first, first))
+        held.append(intern(entry, entry))
+    return tuple(held)
 
 
 def search_isomorphism(
@@ -361,9 +434,10 @@ def search_isomorphism(
 
     Returns distinguished when an invariant separates the algebras, found
     with a verified change of basis when a candidate works, undetermined
-    when the budget is exhausted.  A found matrix is always re-verified
-    with the full check before being returned.  The budget must lie in
-    1..MAX_SEARCH_BUDGET.
+    when the budget is exhausted.  Each candidate is filtered on its
+    projected brackets (`_passing`); one that passes is built as a
+    `Matrix` and checked by `verify_isomorphism`, and the first that
+    verifies is returned.  The budget must lie in 1..MAX_SEARCH_BUDGET.
     """
     if not 1 <= budget <= MAX_SEARCH_BUDGET:
         raise ValueError("search budget %d outside 1..%d" % (budget, MAX_SEARCH_BUDGET))
@@ -376,15 +450,15 @@ def search_isomorphism(
     if budget * max(n * n, 1) <= _STREAM_HELD_PAIRS:
         candidates = _held_candidates(n, budget, seed)
     else:
-        candidates = itertools.islice(_search_candidates(n, budget, seed), budget)
-    trials = 0
-    for candidate in candidates:
-        trials += 1
-        if _brackets_match(a, b, candidate, 1) is None:
-            matrix = _columns_matrix(candidate)
-            if verify_isomorphism(a, b, matrix).ok:
-                return SearchResult("found", matrix=matrix, trials=trials)
-    return SearchResult("undetermined", trials=trials)
+        candidates = (
+            (cols, [None] * n, None) for cols in itertools.islice(_search_candidates(n, budget, seed), budget)
+        )
+    for trial, cols in _passing(a, b, candidates):
+        matrix = _columns_matrix(cols)
+        if verify_isomorphism(a, b, matrix).ok:
+            return SearchResult("found", matrix=matrix, trials=trial)
+    # The stream is endless, so all `budget` candidates were tried.
+    return SearchResult("undetermined", trials=budget)
 
 
 def float_change_residual(a: Algebra, b: Algebra, p: list[list[float]]) -> float:

@@ -321,8 +321,7 @@ class Echelon:
     column from the earlier rows; it is `reduce_ints`, which returns the
     int residue with the factor it was scaled by, followed by `insert`.
     Elimination runs on ints only, and so does `kernel`; `dense_rows`
-    divides by the pivot, and `reduce` by the scale it tracked, where a
-    Fraction is handed back.
+    divides by the pivot, where a Fraction is handed back.
 
     The rows given to the constructor are added lightest first, as in
     structured Gaussian elimination: sparse pivot rows cause less fill-in.
@@ -358,13 +357,6 @@ class Echelon:
         """
         residue = dict(row)
         return residue, self._eliminate(residue)
-
-    def reduce(self, row: Mapping[int, int | Fraction]) -> dict[int, Fraction]:
-        """Residue of a sparse row after elimination against the reduced rows."""
-        out, den = _exact_row(row)
-        residue, scale = self.reduce_ints(out)
-        den *= scale
-        return {j: Fraction(x, den) for j, x in residue.items()}
 
     def add(self, row: Mapping[int, int | Fraction]) -> bool:
         """Extend the row space by `row`; False when it was already inside."""

@@ -23,11 +23,17 @@ matrices (`rref` of [classes | identity], `inverse`, the shifts as
 Fraction sums), and `bareiss_verify_isomorphism` the earlier
 `verify_isomorphism`, which decided singularity by the Bareiss rank of
 the dense integer grid and then checked the brackets pair by pair with
-the search's filter `_brackets_match`, on the sparse integer columns of
-`_integer_columns` (moved here from `isomorphism` once the row-by-row
-scatter of `verify_isomorphism` had replaced it).  They are kept
+`brackets_match`, on the sparse integer columns of `_integer_columns`
+(moved here from `isomorphism` once the row-by-row scatter of
+`verify_isomorphism` had replaced it).  `brackets_match` is the earlier
+`isomorphism._brackets_match`, the search's exact filter, moved here
+once the projected filter `isomorphism._passing` had replaced it.  They are kept
 verbatim apart from their names, as references for the int echelons and
 the scatter that replaced them.
+
+`echelon_reduce` is the earlier `linalg.Echelon.reduce`, moved here
+once the package had no caller left for it: the residue of a sparse row
+against an `Echelon`, handed back as `Fraction`s.
 
 `integer_grid` is the earlier `linalg.integer_grid`, moved here once
 `core.jordan_type_nilpotent` read its grid off `Matrix._int_rows`: the
@@ -47,6 +53,7 @@ span(e_j, ..., e_n), so code that depends on column order would still
 see the catalog's order; the product mixes it.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
@@ -57,12 +64,13 @@ from leibnizalg.cohomology import _class_and_preimage, _condition_rows, cohomolo
 from leibnizalg.core import LeibnizViolation, _rational_vector
 from leibnizalg.extension import SplitReport, _require_leibniz, validate_cocycle
 from leibnizalg.files import FileFormatError
-from leibnizalg.isomorphism import Columns, IsoCheck, _brackets_match
+from leibnizalg.isomorphism import Columns, IsoCheck
 from leibnizalg.linalg import (
     Echelon,
     Matrix,
     Vector,
     _echelon,
+    _exact_row,
     common_denominator,
     frac,
     integer_rank,
@@ -287,6 +295,14 @@ def fraction_reduce_extension(spec) -> SplitReport:
     )
 
 
+def echelon_reduce(e: Echelon, row: Mapping[int, int | Fraction]) -> dict[int, Fraction]:
+    """Residue of a sparse row after elimination against the reduced rows."""
+    out, den = _exact_row(row)
+    residue, scale = e.reduce_ints(out)
+    den *= scale
+    return {j: Fraction(x, den) for j, x in residue.items()}
+
+
 def integer_grid(m: Matrix) -> list[list[int]]:
     """The entries times their least common denominator, as plain ints.
 
@@ -307,6 +323,50 @@ def _integer_columns(p: Matrix) -> tuple[Columns, int]:
     ), d
 
 
+def brackets_match(a, b, cols: Columns, d: int) -> tuple[int, int] | None:
+    """First 1-based basis pair where p = cols/d breaks the bracket, else None.
+
+    With P = d*p and integer products C_a = D_a*c_a, C_b = D_b*c_b, the
+    condition p([e_i, e_j]_a) = [p e_i, p e_j]_b reads
+    d*D_b*(P C_a[i,j]) = D_a * sum_{k,l} P_ki P_lj C_b[k,l].
+
+    This was the search's filter.  It gathers, pair by pair: for (i, j) it
+    looks up b's product of each pair of nonzero entries of columns i and
+    j, so most wrong candidates are dropped after the first pair or a few.
+    The row-by-row scatter of `verify_isomorphism` must build a whole row
+    of right-hand sides before its first comparison, which pays on a full
+    check but not on a candidate that fails early.
+    """
+    n = a.dim
+    get_a = a.table.products.get
+    get_b = b.table.products.get
+    left, right = d * b.table.denominator, a.table.denominator
+    g = math.gcd(left, right)
+    left, right = left // g, right // g
+    for i in range(n):
+        col_i = cols[i]
+        for j in range(n):
+            lhs = [0] * n
+            for m, c in get_a((i, j), ()):
+                for t, x in cols[m]:
+                    lhs[t] += c * x
+            rhs = [0] * n
+            for k, x in col_i:
+                for l, y in cols[j]:
+                    terms = get_b((k, l))
+                    if terms:
+                        f = x * y
+                        for t, c in terms:
+                            rhs[t] += f * c
+            if left != 1:
+                lhs = [left * v for v in lhs]
+            if right != 1:
+                rhs = [right * v for v in rhs]
+            if lhs != rhs:
+                return (i + 1, j + 1)
+    return None
+
+
 def bareiss_verify_isomorphism(a, b, p: Matrix) -> IsoCheck:
     """Check that p maps a onto b: p([x, y]_a) = [p x, p y]_b, p invertible.
 
@@ -318,7 +378,7 @@ def bareiss_verify_isomorphism(a, b, p: Matrix) -> IsoCheck:
         raise ValueError("change of basis must be %d x %d" % (a.dim, a.dim))
     if integer_rank(integer_grid(p), p.cols) < p.cols:
         return IsoCheck(False, None, "matrix is singular")
-    pair = _brackets_match(a, b, *_integer_columns(p))
+    pair = brackets_match(a, b, *_integer_columns(p))
     if pair is not None:
         return IsoCheck(False, pair, "bracket images differ at (e%d, e%d)" % pair)
     return IsoCheck(True)

@@ -260,6 +260,8 @@ def test_subspace_refuses_vectors_and_subspaces_of_another_ambient():
             s.contains(v)
         with pytest.raises(ValueError, match="ambient dimension %d against 3" % len(v)):
             s.reduce(v)
+        with pytest.raises(ValueError, match="ambient dimension %d against 3" % len(v)):
+            Subspace.span(3, [vec([0, 1, 0]), v])
     with pytest.raises(ValueError, match="ambient dimension 2 against 3"):
         s.contains_subspace(Subspace.full(2))
 

@@ -5,7 +5,7 @@
 matrices; `bareiss_verify_isomorphism` is the earlier
 `verify_isomorphism`, which decided singularity by the Bareiss rank of
 the dense integer grid and checked the brackets pair by pair with the
-search's filter `_brackets_match`.  The reports and checks must be
+search's earlier exact filter (`oracles.brackets_match`).  The reports and checks must be
 equal, field by field, on catalog members in their own basis and in
 flag-breaking integer and rational bases, with cocycles that hold zero,
 repeated, dependent and coboundary components, and on singular, dense,
@@ -343,13 +343,13 @@ def test_verify_never_calls_the_search_filter(monkeypatch):
     q = Matrix([[1 if c == 5 - r else 0 for c in range(6)] for r in range(6)], cols=6)
     a = transform_algebra(src, q)
     calls = []
-    real = isomorphism._brackets_match
+    real = isomorphism._passing
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(isomorphism, "_brackets_match", counting)
+    monkeypatch.setattr(isomorphism, "_passing", counting)
     checks = [verify_isomorphism(a, src, q), verify_isomorphism(src, a, q), verify_isomorphism(a, src, Matrix.identity(6))]
     assert calls == []
     assert [c.ok for c in checks] == [True, True, False]  # the reversal is its own inverse

@@ -29,9 +29,12 @@ on members that reach that bound and on members that fall short of it.
 
 The search walks a memoised tuple of the stream's first `budget`
 candidates per (dimension, budget, seed) when budget * n * n is under
-the pair cap, and the stream itself otherwise; the search tests compare
-it with the `Matrix` search on warm and cold memos, under and past a
-patched pair cap and over more keys than the memo keeps.
+the pair cap, and the stream itself otherwise, and filters them on
+brackets projected on fixed weights; the search tests compare it with
+the `Matrix` search on warm and cold memos, under and past a patched
+pair cap, over more keys than the memo keeps, in flag-breaking bases on
+both paths, and with every weight patched to 1, so that projections
+collide.
 
 The dense bases of the `members` strategy are flag-breaking
 (`oracles.flag_breaking_change`), integer or rational: a triangular
@@ -54,6 +57,7 @@ from leibnizalg.cohomology import cohomology_class
 from leibnizalg.core import (
     CHARSEQ_RANDOM_TRIALS,
     CHARSEQ_SEED,
+    MAX_DIM,
     Algebra,
     CharSeq,
     CharSeqWitness,
@@ -781,6 +785,18 @@ def stream_prefix(n, budget, seed):
     return tuple(itertools.islice(_search_candidates(n, budget, seed), budget))
 
 
+def held_prefix(n, budget, seed):
+    """The stream prefix, each candidate with w . col_m of its columns and its dense first column."""
+    w = isomorphism._WEIGHTS
+    out = []
+    for cols in stream_prefix(n, budget, seed):
+        first = [0] * n
+        for t, x in cols[0] if n else ():
+            first[t] = x
+        out.append((cols, tuple(sum(x * w[t] for t, x in col) for col in cols), tuple(first)))
+    return tuple(out)
+
+
 def held(n, budget, cap=_STREAM_HELD_PAIRS):
     """Whether a search of this dimension and budget walks the memo under the pair cap `cap`."""
     return budget * max(n * n, 1) <= cap
@@ -809,7 +825,7 @@ def test_search_matches_matrix_stream(searches, cap):
     keys = {(a.dim, budget, seed) for (a, _), budget, seed in searches if held(a.dim, budget, cap)}
     assert _held_candidates.cache_info().currsize == len(keys)
     for key in keys:
-        assert _held_candidates(*key) == stream_prefix(*key)
+        assert _held_candidates(*key) == held_prefix(*key)
 
 
 @pytest.mark.parametrize(
@@ -818,8 +834,67 @@ def test_search_matches_matrix_stream(searches, cap):
 def test_held_key_is_the_stream_prefix_under_the_cap(n, budget, seed, cold_streams):
     assert held(n, budget)
     candidates = _held_candidates(n, budget, seed)
-    assert candidates == stream_prefix(n, budget, seed)
-    assert sum(len(col) for candidate in candidates for col in candidate) <= _STREAM_HELD_PAIRS
+    assert candidates == held_prefix(n, budget, seed)
+    assert sum(len(col) for cols, _, _ in candidates for col in cols) <= _STREAM_HELD_PAIRS
+
+
+def streamed_budget(n):
+    """The least budget whose search at dimension n draws the stream afresh."""
+    return _STREAM_HELD_PAIRS // max(n * n, 1) + 1
+
+
+@st.composite
+def flag_broken_searches(draw):
+    """A member at dims 3-7 in a flag-breaking integer or rational basis, or in a stream candidate's.
+
+    The budget is 256, which walks the memo, or the least one that
+    streams.  A basis drawn from the candidate stream itself is found by
+    its own trial at the latest, deep in the seeded random tail.
+    """
+    family, dim, params = draw(st.sampled_from([m for m in MEMBERS if 3 <= m[1] <= 7]))
+    src = catalog.make(family, dim, **params)
+    budget = draw(st.sampled_from((256, streamed_budget(dim))))
+    kind = draw(st.sampled_from(("dense-integer", "dense-rational", "stream")))
+    if kind == "stream":
+        trial = draw(st.integers(budget // 2 + 2 * dim + 2, budget - 1))
+        q = _columns_matrix(next(itertools.islice(_search_candidates(dim, budget, SEARCH_SEED), trial, None)))
+    else:
+        q = dense_change(draw, dim, kind)
+    return transform_algebra(src, q), src, budget
+
+
+@settings(max_examples=30, deadline=None)
+@given(flag_broken_searches())
+def test_search_matches_matrix_stream_in_flag_breaking_bases(drawn):
+    """Status, trials and matrix of the projected filter equal the exact `Matrix` search, on both paths."""
+    a, src, budget = drawn
+    assert search_isomorphism(a, src, budget) == oracle_search(a, src, budget)
+
+
+def test_search_with_unit_weights_matches_matrix_stream(monkeypatch, cold_streams):
+    """With every weight 1, projections collide often; each collision costs a verify, never a result."""
+    assert len(isomorphism._WEIGHTS) == MAX_DIM and all(w % 2 for w in isomorphism._WEIGHTS)
+    monkeypatch.setattr(isomorphism, "_WEIGHTS", (1,) * MAX_DIM)
+    verified = []
+    real = isomorphism.verify_isomorphism
+
+    def counting(*args):
+        check = real(*args)
+        verified.append(check.ok)
+        return check
+
+    monkeypatch.setattr(isomorphism, "verify_isomorphism", counting)
+    rng = random.Random(5)
+    for family, dim, params in [m for m in MEMBERS if 4 <= m[1] <= 6]:
+        src = catalog.make(family, dim, **params)
+        perm = rng.sample(range(dim), dim)
+        swap = Matrix([[_ONE if perm[c] == r else _ZERO for c in range(dim)] for r in range(dim)], cols=dim)
+        lower = Matrix([[_ONE if c <= r else _ZERO for c in range(dim)] for r in range(dim)], cols=dim)
+        for q in (swap, lower):
+            a = transform_algebra(src, q)
+            for budget in (256, streamed_budget(dim)):
+                assert search_isomorphism(a, src, budget) == oracle_search(a, src, budget)
+    assert verified.count(False) > 10
 
 
 def test_search_past_the_pair_cap_holds_nothing(monkeypatch, cold_streams):
