@@ -272,16 +272,10 @@ def transform_algebra(a: Algebra, q: Matrix) -> Algebra:
             cols[j][r] = x
     inv_rows, d_inv = qinv._int_rows()
     den = d_inv * d * d * a.table.denominator
-    products = a.table.products.items()
     records = []
     for i, x in enumerate(cols):
         for j, y in enumerate(cols):
-            acc = [0] * n  # d*d*D_a times [q e_i, q e_j], in a's coordinates
-            for (r, s), terms in products:
-                f = x[r] * y[s]
-                if f:
-                    for k, c in terms:
-                        acc[k] += f * c
+            acc = _bracket_ints(a, x, y)  # d*d*D_a times [q e_i, q e_j], in a's coordinates
             for k, row in enumerate(inv_rows):
                 v = sum([c * acc[t] for t, c in row])
                 if v:
@@ -296,13 +290,18 @@ def bracket(a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         raise ValueError("vectors must have length %d" % a.dim)
     xs, dx = _integer_vector(x)
     ys, dy = _integer_vector(y)
+    return _rational_vector(_bracket_ints(a, xs, ys), dx * dy * a.table.denominator)
+
+
+def _bracket_ints(a: Algebra, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """D_a times the bracket of two int coordinate vectors, on a's integer products."""
     acc = [0] * a.dim
     for (i, j), terms in a.table.products.items():
         f = xs[i] * ys[j]
         if f:
             for k, c in terms:
                 acc[k] += f * c
-    return _rational_vector(acc, dx * dy * a.table.denominator)
+    return acc
 
 
 def _products_by_row(a: Algebra) -> list[list[tuple[int, tuple[tuple[int, int], ...]]]]:
