@@ -220,10 +220,10 @@ def _passing(a: Algebra, b: Algebra, candidates):
     exact bracket, and must be verified.  Most wrong candidates fail at
     (e_1, e_1), so that pair is tested first on its own, summing over
     whichever is smaller: the pairs of column 0, or b's products against
-    the dense column 0.  The dense columns 0 of a triangular candidate
-    take the second sum; against the plain loop started at (e_1, e_1),
-    that makes a 256-candidate search in a dense basis about 1.7 times
-    faster.
+    the dense column 0.  A dense column 0, as the seeded triangular
+    candidates have, takes the second sum; against the plain loop
+    started at (e_1, e_1), that makes a 256-candidate search in a dense
+    basis at dims 5-7 about 1.7 times faster (best of 300, 2-vCPU host).
     """
     n = a.dim
     left, right = b.table.denominator, a.table.denominator
