@@ -1,24 +1,23 @@
-"""Certificates: exact witnesses, float witnesses, bounded search.
+"""Certificates: exact witnesses, exact scalings, bounded search.
 
-Three grades of evidence, strongest first:
-  1. an exact rational change of basis, verified entry by entry;
-  2. a floating-point change of basis with a tiny residual, reported
-     but never treated as a proof;
+Three kinds of certificate, none of them approximate:
+  1. a rational change of basis, verified entry by entry;
+  2. a scaling e_k -> alpha**w_k e_k for witnesses that need a root,
+     checked constant by constant for every root alpha of t**d - r;
   3. a fingerprint difference, which certifies NON-isomorphism.
 Bounded random search returns whichever it finds first and says
 "undetermined" otherwise instead of guessing.
 """
 
-from fractions import Fraction
 
 from leibnizalg import catalog
 from leibnizalg.core import algebra_from_products
 from leibnizalg.isomorphism import (
     compare_fingerprints,
     fingerprint,
-    float_change_residual,
     search_isomorphism,
     verify_isomorphism,
+    verify_scaling,
 )
 from leibnizalg.linalg import Matrix
 
@@ -35,16 +34,11 @@ def main():
                 [0, 0, 0, 0, 0, 32]])
     print("   theta 8 -> 1 via diag(2,2,4,8,16,32):", verify_isomorphism(a, b, p).ok)
 
-    print("2. float witness: theta 2 -> 1 needs a cube root")
+    print("2. exact scaling: theta 2 -> 1 needs a cube root")
     c = catalog.make("F1param", 6, theta=2)
-    A = 2.0 ** (1.0 / 3.0)
-    q = [[0.0] * 6 for _ in range(6)]
-    q[0][0] = q[1][1] = A
-    for i in range(2, 6):
-        q[i][i] = A ** i
-    residual = float_change_residual(a, c, q)
-    print("   residual %.3e; supports but does NOT certify the isomorphism"
-          % residual)
+    check = verify_scaling(a, c, (1, 1, 2, 3, 4, 5), 3, 2)
+    print("   e1, e2 -> alpha e1, alpha e2, e_k -> alpha**(k-1) e_k for every root of")
+    print("   alpha**3 = 2, certified without approximating alpha:", check.ok)
     verdict = compare_fingerprints(fingerprint(a), fingerprint(c)).verdict
     print("   fingerprints cannot separate the pair either: %s" % verdict)
 

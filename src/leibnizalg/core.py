@@ -31,7 +31,7 @@ result is returned.  Equality and
 the hash of an algebra are computed from the table, the hash once, so a
 memo lookup does not walk n^3 entries.  The dense n x n x n `Fraction`
 grid `Algebra.sc` is a view derived on demand, for display and for
-reference checks.
+reference checks; no code in the package reads it.
 """
 
 from __future__ import annotations
@@ -601,7 +601,7 @@ def _right_mult_grid(a: Algebra, x: Sequence[int]) -> list[list[int]]:
     return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CharSeq:
     """Weakly decreasing Jordan block sizes; ordered lexicographically."""
 
@@ -612,12 +612,6 @@ class CharSeq:
             raise ValueError("block sizes must be positive")
         if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
             raise ValueError("block sizes must be weakly decreasing")
-
-    def __lt__(self, other: "CharSeq") -> bool:
-        return self.parts < other.parts
-
-    def __le__(self, other: "CharSeq") -> bool:
-        return self.parts <= other.parts
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.parts) + ")"

@@ -17,7 +17,9 @@ structure constants of both algebras (`Algebra.table`).
 one denominator that every `Matrix` stores (`Matrix._int_rows`),
 rejects it as singular by the `Echelon` rank of the columns, and then
 scatters: one basis row at a time, each product of the target algebra
-is sent through the rows of the witness.
+is sent through the rows of the witness.  `verify_scaling` certifies
+e_k -> alpha**w_k e_k for every root alpha of t**d - r constant by
+constant, so a witness that needs a root needs no float.
 
 The search filters its candidates on one number per basis pair instead
 (`_passing`): both sides of the bracket condition are dotted with a
@@ -32,20 +34,25 @@ and checked by `verify_isomorphism`, exactly and once, so a collision
 of projections costs one extra verify.
 
 The candidate stream depends only on (dimension, budget, seed), never on
-the algebras.  A search whose budget bounds it to at most 2**16 (row,
-entry) pairs walks the stream's first `budget` candidates as one
-memoised tuple per key (`_held_candidates`), each held with the
-projections of its columns and its dense first column; any other search
-draws the stream afresh, computes only the projections that a pair
-reads, and holds nothing.
+the algebras, and its coins are drawn as ints (`_coin`).  Every candidate
+is integer with an integer inverse, so the stream is walked only when
+both tables have one denominator.  A search whose budget bounds it to
+at most 2**16 (row, entry) pairs walks the stream's first `budget`
+candidates as one memoised tuple per key (`_held_candidates`), each
+held with the projections of its columns and its dense first column;
+any other search draws the stream afresh, computes only the projections
+that a pair reads, and holds nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .core import (
@@ -63,7 +70,7 @@ from .core import (
     squares_subspace,
     transform_algebra,
 )
-from .linalg import Echelon, Matrix
+from .linalg import Echelon, Matrix, frac
 
 SEARCH_SEED = 1729
 SEARCH_BUDGET = 10000
@@ -202,14 +209,14 @@ def _dense(col: tuple[tuple[int, int], ...], n: int) -> tuple[int, ...]:
 def _passing(a: Algebra, b: Algebra, candidates):
     """Trial number and columns of each candidate that passes the projected bracket test.
 
-    The bracket condition at (i, j) is `verify_isomorphism`'s with d = 1,
-    since candidates are integer: D_b*(P C_a[i,j]) = D_a * sum_{k,l} P_ki
-    P_lj C_b[k,l].  Both sides are dotted with the fixed weights w, so
-    the left one reads sum_m C_a[i,j]_m (w . col_m) off the projections of
-    the columns, and the right one sum_{k,l} P_ki P_lj beta(k,l) off
-    beta(k,l) = w . C_b[k,l], computed once.  `terms_a[i*n + j]` holds the
-    terms of C_a[i,j] and `beta[k][l]` the values, scaled by the
-    gcd-reduced D_b and D_a; `products_b` lists the nonzero
+    a and b must have equal table denominators, so the bracket condition
+    at (i, j) is `verify_isomorphism`'s with d = 1 and D_a = D_b, since
+    candidates are integer: P C_a[i,j] = sum_{k,l} P_ki P_lj C_b[k,l].
+    Both sides are dotted with the fixed weights w, so the left one reads
+    sum_m C_a[i,j]_m (w . col_m) off the projections of the columns, and
+    the right one sum_{k,l} P_ki P_lj beta(k,l) off beta(k,l) = w . C_b[k,l],
+    computed once.  `terms_a[i*n + j]` holds the terms of C_a[i,j] and
+    `beta[k][l]` the values; `products_b` lists the nonzero
     (k, l, beta[k][l]).
 
     `candidates` yields (cols, proj, first): `proj[m]` is w . col_m, or
@@ -226,15 +233,12 @@ def _passing(a: Algebra, b: Algebra, candidates):
     basis at dims 5-7 about 1.7 times faster (best of 300, 2-vCPU host).
     """
     n = a.dim
-    left, right = b.table.denominator, a.table.denominator
-    g = math.gcd(left, right)
-    left, right = left // g, right // g
     terms_a = [()] * (n * n)
     for (i, j), terms in a.table.products.items():
-        terms_a[i * n + j] = tuple((m, left * c) for m, c in terms)
+        terms_a[i * n + j] = terms
     beta = [[0] * n for _ in range(n)]
     for (k, l), terms in b.table.products.items():
-        beta[k][l] = right * _projection(terms)
+        beta[k][l] = _projection(terms)
     products_b = [(k, l, v) for k, row in enumerate(beta) for l, v in enumerate(row) if v]
     n_products = len(products_b)
     terms_00 = terms_a[0] if n else ()
@@ -333,6 +337,33 @@ def verify_isomorphism(a: Algebra, b: Algebra, p: Matrix) -> IsoCheck:
     return IsoCheck(True)
 
 
+def verify_scaling(a: Algebra, b: Algebra, weights: Sequence[int], d: int, r: int | str | Fraction) -> IsoCheck:
+    """Check that e_k -> alpha**weights[k] e_k maps a onto b for every root alpha of t**d - r.
+
+    The map is a homomorphism iff c_b = c_a alpha**e for each constant c
+    of [e_i, e_j] on e_k, with e = w_k - w_i - w_j, and invertible as
+    r != 0.  If d divides e, alpha**e = r**(e/d) at every root; if not,
+    alpha**e differs between the roots, so a nonzero constant there is
+    refused.  The failing pair is the first in (i, j) order, so at d = 1
+    this is `verify_isomorphism` of diag(r**w_k).
+    """
+    n = a.dim
+    if b.dim != n or len(weights) != n:
+        raise ValueError("dimension mismatch: %d vs %d with %d weights" % (n, b.dim, len(weights)))
+    weights = [operator.index(w) for w in weights]
+    d, r = operator.index(d), frac(r)
+    if d < 1 or not r:
+        raise ValueError("a scaling needs d >= 1 and r != 0")
+    (den_a, products_a), (den_b, products_b) = a.table, b.table
+    for i, j in sorted(products_a.keys() | products_b.keys()):
+        terms_a, terms_b = dict(products_a.get((i, j), ())), dict(products_b.get((i, j), ()))
+        for k in terms_a.keys() | terms_b.keys():
+            q, rest = divmod(weights[k] - weights[i] - weights[j], d)
+            if rest or Fraction(terms_b.get(k, 0), den_b) != Fraction(terms_a.get(k, 0), den_a) * r**q:
+                return IsoCheck(False, (i + 1, j + 1), "bracket images differ at (e%d, e%d)" % (i + 1, j + 1))
+    return IsoCheck(True)
+
+
 @dataclass(frozen=True)
 class SearchResult:
     status: str  # "found" | "distinguished" | "undetermined"
@@ -346,9 +377,19 @@ def _permutation(perm: tuple[int, ...], signs: tuple[int, ...] | None = None) ->
     return tuple(((r, signs[i] if signs else 1),) for i, r in enumerate(perm))
 
 
+def _coin(rng: random.Random, bits: int) -> bool:
+    """Whether `rng.random() < 2**-bits`, decided on ints from the same two 32-bit draws.
+
+    `random()` takes its top 27 bits from the first draw, so that draw's top `bits` decide.
+    """
+    high = rng.getrandbits(32) >> (32 - bits)
+    rng.getrandbits(32)
+    return not high
+
+
 def _random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
     """Rows of a triangular matrix with unit diagonal (up to sign), small integer entries."""
-    upper = rng.random() < 0.5
+    upper = _coin(rng, 1)
     rows = []
     for i in range(n):
         row = [0] * n
@@ -385,7 +426,7 @@ def _search_candidates(n: int, budget: int, seed: int):
     rng = random.Random(seed)
     while True:
         rows = _random_unimodular(rng, n)
-        if rng.random() < 0.25:
+        if _coin(rng, 2):
             # Left multiplication by a permutation moves row i to row perm[i].
             permuted = list(rows)
             for i, r in enumerate(rng.sample(range(n), n)):
@@ -437,7 +478,10 @@ def search_isomorphism(
 
     Returns distinguished when an invariant separates the algebras, found
     with a verified change of basis when a candidate works, undetermined
-    when the budget is exhausted.  Each candidate is filtered on its
+    when the budget is exhausted.  Algebras whose integer tables have
+    different denominators are undetermined after `budget` trials without
+    a walk: no integer candidate with an integer inverse can map one onto
+    the other.  Each candidate is filtered on its
     projected brackets (`_passing`); one that passes is built as a
     `Matrix` and checked by `verify_isomorphism`, and the first that
     verifies is returned.  The budget must lie in 1..MAX_SEARCH_BUDGET.
@@ -449,6 +493,10 @@ def search_isomorphism(
     comparison = compare_fingerprints(fingerprint(a), fingerprint(b))
     if comparison.verdict == "distinguished":
         return SearchResult("distinguished", invariant=comparison.detail)
+    if a.table.denominator != b.table.denominator:
+        # Every candidate and its inverse are integer, so an isomorphism
+        # among them maps each table's integer products onto the other's.
+        return SearchResult("undetermined", trials=budget)
     n = a.dim
     if budget * max(n * n, 1) <= _STREAM_HELD_PAIRS:
         candidates = _held_candidates(n, budget, seed)
@@ -462,43 +510,3 @@ def search_isomorphism(
             return SearchResult("found", matrix=matrix, trials=trial)
     # The stream is endless, so all `budget` candidates were tried.
     return SearchResult("undetermined", trials=budget)
-
-
-def float_change_residual(a: Algebra, b: Algebra, p: list[list[float]]) -> float:
-    """Largest bracket mismatch of a floating-point change of basis.
-
-    For witnesses that need irrational entries; a small residual supports
-    but never certifies an isomorphism, so callers must label these
-    results as non-exact.
-    """
-    n = a.dim
-    if b.dim != n or len(p) != n or any(len(row) != n for row in p):
-        raise ValueError("dimension mismatch")
-    sa = [[[float(c) for c in a.sc[i][j]] for j in range(n)] for i in range(n)]
-    sb = [[[float(c) for c in b.sc[i][j]] for j in range(n)] for i in range(n)]
-
-    def apply(v: list[float]) -> list[float]:
-        return [sum(p[r][c] * v[c] for c in range(n)) for r in range(n)]
-
-    def bracket_float(x: list[float], y: list[float]) -> list[float]:
-        acc = [0.0] * n
-        for i in range(n):
-            if not x[i]:
-                continue
-            for j in range(n):
-                if not y[j]:
-                    continue
-                f = x[i] * y[j]
-                for k in range(n):
-                    acc[k] += f * sb[i][j][k]
-        return acc
-
-    cols = [[p[r][c] for r in range(n)] for c in range(n)]
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            lhs = apply(sa[i][j])
-            rhs = bracket_float(cols[i], cols[j])
-            for t in range(n):
-                worst = max(worst, abs(lhs[t] - rhs[t]))
-    return worst

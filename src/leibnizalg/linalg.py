@@ -45,8 +45,9 @@ A rational vector from outside the kernel is read by one reader,
 takes ints, Fractions and literals like "1/2" and refuses floats.
 `Echelon` takes only ints and Fractions (`_exact_row`).
 `parse_rational`, the one parser of rational literals behind `frac`,
-refuses exponents.  The one floating-point helper lives elsewhere and
-never feeds back into exact results.
+refuses exponents.  No module of the package holds a float: witnesses
+that need irrational entries are certified exactly by
+`isomorphism.verify_scaling`.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 
 from . import catalog
@@ -362,7 +363,7 @@ def _witness_f2(n: int, cell: tuple[Fraction, Fraction, Fraction, Fraction]):
     return None
 
 
-def _run_sweep(report: Report, family: str, n: int | None, seed: int) -> None:
+def _run_sweep(family: str, report: Report, n: int | None, seed: int) -> None:
     supports = {"F1": _witness_f1, "F2": _witness_f2}
     witness_of = supports[family]
     candidates_of = {"F1": _candidates_f1, "F2": _candidates_f2}[family]
@@ -414,14 +415,6 @@ def _run_sweep(report: Report, family: str, n: int | None, seed: int) -> None:
                 "%s dim %d fingerprint ties (not separated by invariants): %s"
                 % (family, n_, sorted(ties))
             )
-
-
-def _run_42(report: Report, n: int | None, seed: int) -> None:
-    _run_sweep(report, "F1", n, seed)
-
-
-def _run_43(report: Report, n: int | None, seed: int) -> None:
-    _run_sweep(report, "F2", n, seed)
 
 
 # ---------------------------------------------------------------- 4.4 .. 4.7
@@ -619,8 +612,8 @@ def _run_47(report: Report, n: int | None, seed: int) -> None:
 # ---------------------------------------------------------------- 4.8 / 4.9
 
 
-def _run_full_extension(report: Report, family: str, target_family: str,
-                        n: int | None) -> None:
+def _run_full_extension(family: str, target_family: str, report: Report,
+                        n: int | None, seed: int) -> None:
     for n_ in _pick_ns((5, 6), n, 5, 7):
         base = catalog.make(family, n_)
         forms = (
@@ -655,14 +648,6 @@ def _run_full_extension(report: Report, family: str, target_family: str,
             check.ok,
             "change of basis verified exactly" if check.ok else str(check),
         )
-
-
-def _run_48(report: Report, n: int | None, seed: int) -> None:
-    _run_full_extension(report, "F1", "E4F1", n)
-
-
-def _run_49(report: Report, n: int | None, seed: int) -> None:
-    _run_full_extension(report, "F2", "E4F2", n)
 
 
 # ---------------------------------------------------------------- 4.10
@@ -704,14 +689,16 @@ EXPERIMENTS: dict[str, tuple[str, object]] = {
     "3.1": ("second cohomology dimensions of the maximal-nilindex chains", _run_31),
     "3.2": ("one-dimensional central extensions of the maximal-nilindex chains", _run_32),
     "4.1": ("second cohomology of the two graded filiform families", _run_41),
-    "4.2": ("one-dimensional extensions of the type-1 filiform family, full sweep", _run_42),
-    "4.3": ("one-dimensional extensions of the type-2 filiform family, full sweep", _run_43),
+    "4.2": ("one-dimensional extensions of the type-1 filiform family, full sweep", partial(_run_sweep, "F1")),
+    "4.3": ("one-dimensional extensions of the type-2 filiform family, full sweep", partial(_run_sweep, "F2")),
     "4.4": ("two-dimensional extension classes over the type-1 filiform family", _run_44),
     "4.5": ("two-dimensional extension classes over the type-2 filiform family", _run_45),
     "4.6": ("three-dimensional extension classes over the type-1 filiform family", _run_46),
     "4.7": ("three-dimensional extension classes over the type-2 filiform family", _run_47),
-    "4.8": ("the irreducible four-dimensional extension of the type-1 family", _run_48),
-    "4.9": ("the irreducible four-dimensional extension of the type-2 family", _run_49),
+    "4.8": ("the irreducible four-dimensional extension of the type-1 family",
+            partial(_run_full_extension, "F1", "E4F1")),
+    "4.9": ("the irreducible four-dimensional extension of the type-2 family",
+            partial(_run_full_extension, "F2", "E4F2")),
     "4.10": ("random cocycle tuples split off abelian summands", _run_410),
 }
 

@@ -33,8 +33,8 @@ from leibnizalg.extension import (
 from leibnizalg.isomorphism import (
     compare_fingerprints,
     fingerprint,
-    float_change_residual,
     verify_isomorphism,
+    verify_scaling,
 )
 from leibnizalg.linalg import Matrix
 
@@ -106,26 +106,22 @@ def test_criterion_4_sweep_with_witnesses_and_ties():
         if not tie_notes:
             ok = False
             details.append("%s reported no ties" % eid)
-    # irrational normalizations are supported by float witnesses that must
-    # carry a small residual yet stay labeled non-exact
+    # irrational normalizations are certified exactly: theta 1 -> 2 scales
+    # e1, e2 by alpha and e_k by alpha**(k-1) for every root of alpha**3 = 2,
+    # and the fingerprints tie, so neither a rational witness nor an
+    # invariant decides the pair
     a = catalog.make("F1param", 6, theta=1)
     b = catalog.make("F1param", 6, theta=2)
-    A = 2.0 ** (1.0 / 3.0)
-    p = [[0.0] * 6 for _ in range(6)]
-    p[0][0] = p[1][1] = A
-    for i in range(2, 6):
-        p[i][i] = A ** i
-    residual = float_change_residual(a, b, p)
-    labeled_non_exact = (
-        compare_fingerprints(fingerprint(a), fingerprint(b)).verdict != "distinguished"
-    )
-    if residual >= 1e-9 or not labeled_non_exact:
+    scaling = verify_scaling(a, b, (1, 1, 2, 3, 4, 5), 3, 2)
+    tied = compare_fingerprints(fingerprint(a), fingerprint(b)).verdict != "distinguished"
+    if not scaling.ok or not tied:
         ok = False
-        details.append("float witness residual %.2e" % residual)
+        details.append("theta 1 -> 2: %s, fingerprint tie %s" % (scaling, tied))
     _line(4, ok,
           "coefficient sweeps match the catalog with verified witnesses and "
-          "reported ties; float witness residual %.1e stays below 1e-9%s"
-          % (residual, "; " + "; ".join(details) if details else ""))
+          "reported ties; theta 1 -> 2 at dim 6 certified exactly by a "
+          "scaling with alpha**3 = 2%s"
+          % ("; " + "; ".join(details) if details else ""))
 
 
 def test_criterion_5_random_cocycles_split_within_budget():

@@ -1,6 +1,8 @@
 """Fingerprints, witness verification, and bounded isomorphism search."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,13 @@ from hypothesis import strategies as st
 from leibnizalg import catalog
 from leibnizalg.core import abelian_algebra, algebra_from_products
 from leibnizalg.isomorphism import (
+    IsoCheck,
     compare_fingerprints,
     fingerprint,
-    float_change_residual,
     search_isomorphism,
     transform_algebra,
     verify_isomorphism,
+    verify_scaling,
 )
 from leibnizalg.linalg import Matrix, inverse, vec
 
@@ -157,18 +160,143 @@ def test_shear_kills_theta_when_dominated():
     assert verify_isomorphism(a, b, p).ok
 
 
-def test_irrational_witness_small_residual_not_exact():
-    # theta 2 -> 1 needs A = 2**(1/3); no rational certificate exists
+def test_irrational_witness_certified_exactly():
+    # theta 1 -> 2 needs alpha**3 = 2; no rational witness exists, and the
+    # scaling e1, e2 -> alpha e1, alpha e2, e_k -> alpha**(k-1) e_k is
+    # certified for every root of t**3 - 2
     a = catalog.make("F1param", 6, theta=1)
     b = catalog.make("F1param", 6, theta=2)
-    A = 2.0 ** (1.0 / 3.0)
-    p = [[A if i == j and i < 2 else 0.0 for j in range(6)] for i in range(6)]
-    for i in range(2, 6):
-        p[i][i] = A ** i
-    residual = float_change_residual(a, b, p)
-    assert residual < 1e-9
-    # the fingerprint tie shows why the float route was needed at all
+    assert verify_scaling(a, b, (1, 1, 2, 3, 4, 5), 3, 2) == IsoCheck(True)
+    # the fingerprint tie shows why an irrational witness is needed at all
     assert compare_fingerprints(fingerprint(a), fingerprint(b)).verdict != "distinguished"
+
+
+THETAS = (1, 2, 3, -1)
+
+
+def f1param_scaling(n):
+    """Weights (1, 1, 2, ..., n-1) and d = n - 3: [e1, e2] = theta e_n picks up alpha**(n-3)."""
+    return (1, 1, *range(2, n)), n - 3
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_scaling_certifies_every_f1param_pair(n):
+    weights, d = f1param_scaling(n)
+    pairs = [(t, u) for t in THETAS for u in THETAS if t != u]
+    assert len(pairs) == 12
+    for t, u in pairs:
+        a, b = catalog.make("F1param", n, theta=t), catalog.make("F1param", n, theta=u)
+        assert verify_scaling(a, b, weights, d, Fraction(u, t)) == IsoCheck(True), (n, t, u)
+
+
+def refused_at(i, j):
+    return IsoCheck(False, (i, j), "bracket images differ at (e%d, e%d)" % (i, j))
+
+
+@pytest.mark.parametrize("n", (5, 6, 9))
+def test_scaling_refuses_planted_faults(n):
+    weights, d = f1param_scaling(n)
+    a, b = catalog.make("F1param", n, theta=1), catalog.make("F1param", n, theta=2)
+    assert verify_scaling(a, b, weights, d, 2).ok
+    # r doubled: only [e1, e2] = theta e_n carries a power of alpha
+    assert verify_scaling(a, b, weights, d, 4) == refused_at(1, 2)
+    # one weight raised by 1: every basis vector takes part in a bracket
+    for k in range(n):
+        raised = list(weights)
+        raised[k] += 1
+        assert not verify_scaling(a, b, raised, d, 2).ok, k
+    # one constant of b perturbed, unchecked: the first failing pair is its pair
+    records = list(b.products())
+    for t, (i, j, k, c) in enumerate(records):
+        products = {}
+        for s, (i2, j2, k2, c2) in enumerate(records):
+            products.setdefault((i2, j2), {})[k2] = c2 + (s == t)
+        perturbed = algebra_from_products(n, products, check=False)
+        assert verify_scaling(a, perturbed, weights, d, 2) == refused_at(i, j), (i, j, k)
+    # a nonzero constant whose exponent d does not divide: at d = 2 the
+    # weights give [e1, e2] the exponent n - 3, and theta is unchanged, yet
+    # alpha = 1 and alpha = -1 disagree there when n is even
+    if (n - 3) % 2:
+        assert verify_scaling(a, a, weights, 2, 1) == refused_at(1, 2)
+    assert verify_scaling(a, a, weights, n - 2, 1) == refused_at(1, 2)
+
+
+def test_scaling_refuses_bad_arguments():
+    a = catalog.make("F1param", 6, theta=1)
+    with pytest.raises(ValueError):
+        verify_scaling(a, a, (1, 1, 2, 3, 4), 3, 2)
+    with pytest.raises(ValueError):
+        verify_scaling(a, catalog.make("F1", 5), (1, 1, 2, 3, 4, 5), 3, 2)
+    with pytest.raises(ValueError):
+        verify_scaling(a, a, (1, 1, 2, 3, 4, 5), 0, 2)
+    with pytest.raises(ValueError):
+        verify_scaling(a, a, (1, 1, 2, 3, 4, 5), 3, 0)
+    with pytest.raises(TypeError):
+        verify_scaling(a, a, (1, 1, 2, 3, 4, 5), 3, 0.5)
+    with pytest.raises(TypeError):
+        verify_scaling(a, a, (1.0, 1, 2, 3, 4, 5), 3, 2)
+
+
+SCALING_MEMBERS = (
+    ("abelian", 0, {}),
+    ("NF", 3, {}),
+    ("F1", 3, {}),
+    ("abelian", 3, {}),
+    ("NF", 5, {}),
+    ("F1", 5, {}),
+    ("F2", 5, {}),
+    ("F1param", 5, {"alpha4": "1/2", "theta": "2/3"}),
+    ("F2param", 5, {"beta4": "-3/2"}),
+    ("L4l", 5, {"lam": "2/3"}),
+    ("F1", 6, {}),
+    ("F3", 6, {"alpha": 1}),
+    ("F1param", 6, {"theta": 2}),
+    ("Lstar", 6, {}),
+    ("Nstar", 6, {}),
+)
+
+def scaling_matrix(weights, r):
+    n = len(weights)
+    return Matrix([[r**w if c == k else 0 for c in range(n)] for k, w in enumerate(weights)], cols=n)
+
+
+scaling_ratios = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_scaling_at_d_1_matches_verify_isomorphism(data):
+    """At d = 1 the root is r itself, so the certificate is `verify_isomorphism` of diag(r**w_k)."""
+    family, dim, params = data.draw(st.sampled_from(SCALING_MEMBERS))
+    member = catalog.make(family, dim, **params)
+    weights = data.draw(st.lists(st.integers(-2, 3), min_size=dim, max_size=dim))
+    r = data.draw(scaling_ratios)
+    if data.draw(st.booleans()):
+        # b is the member, a its diagonal transform, so the drawn scaling maps a onto b
+        a, b = transform_algebra(member, scaling_matrix(weights, r)), member
+        if data.draw(st.booleans()):
+            weights = data.draw(st.lists(st.integers(-2, 3), min_size=dim, max_size=dim))
+            r = data.draw(scaling_ratios)
+    else:
+        other = data.draw(st.sampled_from([m for m in SCALING_MEMBERS if m[1] == dim]))
+        a, b = member, catalog.make(other[0], dim, **other[2])
+    assert verify_scaling(a, b, weights, 1, r) == verify_isomorphism(a, b, scaling_matrix(weights, r))
+
+
+def test_no_float_in_the_package():
+    """No module holds a float literal, calls float() or draws random(); isinstance refusals stay."""
+    found = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "leibnizalg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append((path.name, node.lineno, repr(node.value)))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name) and func.id == "float":
+                    found.append((path.name, node.lineno, "float()"))
+                elif isinstance(func, ast.Attribute) and func.attr == "random":
+                    found.append((path.name, node.lineno, "random()"))
+    assert found == []
 
 
 def test_search_finds_relabeled_chain():

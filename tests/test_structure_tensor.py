@@ -822,7 +822,12 @@ def test_search_matches_matrix_stream(searches, cap):
         for _ in range(2):
             for ((a, src), budget, seed), want in zip(searches, expected):
                 assert search_isomorphism(a, src, budget, seed) == want
-    keys = {(a.dim, budget, seed) for (a, _), budget, seed in searches if held(a.dim, budget, cap)}
+    # A search between tables over different denominators walks no candidate.
+    keys = {
+        (a.dim, budget, seed)
+        for (a, src), budget, seed in searches
+        if held(a.dim, budget, cap) and a.table.denominator == src.table.denominator
+    }
     assert _held_candidates.cache_info().currsize == len(keys)
     for key in keys:
         assert _held_candidates(*key) == held_prefix(*key)
@@ -928,6 +933,25 @@ def test_search_over_the_cap_takes_no_memo_slot(a, budget, cold_streams):
     assert not held(a.dim, budget)
     result = search_isomorphism(a, a, budget)
     assert (result.status, result.trials) == ("found", 1)
+    assert _held_candidates.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("family, dim", [("F1", 7), ("Nstar", 6)])
+def test_search_with_unequal_denominators_walks_nothing(family, dim, monkeypatch, cold_streams):
+    """No integer candidate with an integer inverse maps a table over 1 onto one over 4."""
+    src = catalog.make(family, dim)
+    half = Matrix([[Fraction(1, 2) if r == c == 0 else _ONE if r == c else _ZERO for c in range(dim)]
+                   for r in range(dim)], cols=dim)
+    a = transform_algebra(src, half)
+    assert (a.table.denominator, src.table.denominator) == (4, 1)
+    budgets = (256, streamed_budget(dim))
+    expected = [oracle_search(a, src, budget) for budget in budgets]
+    assert [e.status for e in expected] == ["undetermined", "undetermined"]
+    calls = []
+    monkeypatch.setattr(isomorphism, "_passing", lambda *args: calls.append("_passing"))
+    monkeypatch.setattr(isomorphism, "verify_isomorphism", lambda *args: calls.append("verify"))
+    assert [search_isomorphism(a, src, budget) for budget in budgets] == expected
+    assert calls == []
     assert _held_candidates.cache_info().currsize == 0
 
 
