@@ -21,6 +21,12 @@ experiment at the default seed, in `experiment_ids()` order.  It was
 recorded while `Algebra` still stored the dense `Fraction` grid that
 the integer table replaced.
 
+`golden_reproduce_ns.json` holds `reproduce.run(id, n).as_dict()` of
+4.2 through 4.9 at n = 6 and 7, so the dimensions each experiment
+derives from n (the extension's dim, the expected nilindex) are pinned
+beyond the default n.  It was recorded while 4.4-4.7 were still four
+hand-written runners, before one roster runner replaced them.
+
 `golden_subspaces.json` holds the canonical rref basis and pivots of
 every lower central series term, the center, both annihilators, the
 squares subspace and BL^2 of the same six members in the same three
@@ -32,6 +38,7 @@ Regenerate only for a change meant to alter these outputs:
     PYTHONPATH=src python tests/test_golden_outputs.py > tests/golden_outputs.json
     PYTHONPATH=src python tests/test_golden_outputs.py reduce > tests/golden_reduce.json
     PYTHONPATH=src python tests/test_golden_outputs.py reproduce > tests/golden_reproduce.json
+    PYTHONPATH=src python tests/test_golden_outputs.py reproduce-ns > tests/golden_reproduce_ns.json
     PYTHONPATH=src python tests/test_golden_outputs.py subspaces > tests/golden_subspaces.json
 """
 
@@ -57,6 +64,7 @@ from leibnizalg.linalg import Matrix
 FIXTURE = Path(__file__).with_name("golden_outputs.json")
 REDUCE_FIXTURE = Path(__file__).with_name("golden_reduce.json")
 REPRODUCE_FIXTURE = Path(__file__).with_name("golden_reproduce.json")
+REPRODUCE_NS_FIXTURE = Path(__file__).with_name("golden_reproduce_ns.json")
 SUBSPACES_FIXTURE = Path(__file__).with_name("golden_subspaces.json")
 
 MEMBERS = (
@@ -179,6 +187,12 @@ def reproduce_payload():
     return [reproduce.run(experiment).as_dict() for experiment in reproduce.experiment_ids()]
 
 
+def reproduce_ns_payload():
+    return [reproduce.run(experiment, n).as_dict()
+            for experiment in ("4.2", "4.3", "4.4", "4.5", "4.6", "4.7", "4.8", "4.9")
+            for n in (6, 7)]
+
+
 def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -195,10 +209,15 @@ def test_reproduce_reports_match_golden_fixture():
     assert dumps(reproduce_payload()) == REPRODUCE_FIXTURE.read_text()
 
 
+def test_reproduce_reports_at_n_6_and_7_match_golden_fixture():
+    assert dumps(reproduce_ns_payload()) == REPRODUCE_NS_FIXTURE.read_text()
+
+
 def test_subspaces_match_golden_fixture():
     assert dumps(subspaces_payload()) == SUBSPACES_FIXTURE.read_text()
 
 
 if __name__ == "__main__":
-    PAYLOADS = {"reduce": reduce_payload, "reproduce": reproduce_payload, "subspaces": subspaces_payload}
+    PAYLOADS = {"reduce": reduce_payload, "reproduce": reproduce_payload,
+                "reproduce-ns": reproduce_ns_payload, "subspaces": subspaces_payload}
     print(dumps(PAYLOADS.get(" ".join(sys.argv[1:]), payload)()), end="")
