@@ -719,8 +719,8 @@ def _greedy_max_charseq(n: int, cap: int, limits: Sequence[int] = ()) -> CharSeq
 
 
 @lru_cache(maxsize=32)
-def _charseq_probes(n: int) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
-    """The nonzero candidate vectors in sweep order, each with its ints.
+def _charseq_probes(n: int) -> tuple[tuple[int, ...], ...]:
+    """The nonzero candidate vectors in sweep order, as ints.
 
     Every candidate has integer entries.  A random one is drawn as n
     rationals r/q and scaled by the least common denominator of their
@@ -737,19 +737,19 @@ def _charseq_probes(n: int) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
         draws = [(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
         scale = math.lcm(*(q // math.gcd(r, q) for r, q in draws))
         candidates.append(tuple(r * scale // q for r, q in draws))
-    return tuple((tuple(map(Fraction, ints)), ints) for ints in candidates if any(ints))
+    return tuple(ints for ints in candidates if any(ints))
 
 
-def _probes_outside(space: Subspace) -> Iterator[tuple[Vector, tuple[int, ...]]]:
+def _probes_outside(space: Subspace) -> Iterator[tuple[int, ...]]:
     """The probes of `_charseq_probes` outside `space`, in sweep order.
 
     The int rows of its `Echelon.kernel` are functionals whose common
     kernel is the space, so a probe is inside when each vanishes on it.
     """
     functionals = space._echelon.kernel()
-    for x, ints in _charseq_probes(space.ambient):
+    for ints in _charseq_probes(space.ambient):
         if any(sum(ints[k] * v for k, v in f.items()) for f in functionals):
-            yield x, ints
+            yield ints
 
 
 def _charseq_bound(a: Algebra) -> CharSeq:
@@ -797,16 +797,16 @@ def characteristic_sequence(a: Algebra) -> CharSeqWitness:
     target = _greedy_max_charseq(n, cap)
     bound = _charseq_bound(a)
     best: CharSeq | None = None
-    witness: Vector | None = None
-    for x, ints in _probes_outside(lower_central_series(a)[1]):
+    witness: tuple[int, ...] | None = None
+    for ints in _probes_outside(lower_central_series(a)[1]):
         seq = _jordan_type_of_grid(_right_mult_grid(a, ints), n, best, cap)
         if seq is not None:
-            best, witness = seq, x
+            best, witness = seq, ints
             if best == bound:
                 break
     if best is None or witness is None:
         raise ValueError("no candidate found outside L^2; algebra is zero-dimensional or degenerate")
-    return CharSeqWitness(best, witness, best == target)
+    return CharSeqWitness(best, tuple(map(Fraction, witness)), best == target)
 
 
 @dataclass(frozen=True)

@@ -455,15 +455,18 @@ def _held_candidates(n: int, budget: int, seed: int) -> tuple[HeldCandidate, ...
     n <= 7 holds at most 3,652 pairs.
 
     The first search of a key builds all its candidates.  Best of 5 on a
-    2-vCPU host whose speed varies up to twofold, that took 5.6 ms at the
-    benchmark's (7, 256), 60 ms at (5, 2,621), 84 ms at (2, 10,000), the
-    CLI default budget on a 2-dimensional algebra, and 0.33 s at
-    (1, 65,536).
+    2-vCPU host whose speed varies up to twofold, that took 4.7 ms at the
+    benchmark's (7, 256), 48 ms at (5, 2,621), 68 ms at (2, 10,000), the
+    CLI default budget on a 2-dimensional algebra, and 0.27 s at
+    (1, 65,536); drawing the candidates alone takes about half of it.
     """
-    intern = {}.setdefault
+    seen = {}
+    intern = seen.setdefault
     held = []
     for cols in itertools.islice(_search_candidates(n, budget, seed), budget):
-        cols = tuple(intern(col, tuple(intern(pair, pair) for pair in col)) for col in cols)
+        # A column seen before is looked up; only a new one interns its pairs.
+        cols = tuple(seen.get(col) or intern(col, tuple(intern(pair, pair) for pair in col))
+                     for col in cols)
         proj = tuple(map(_projection, cols))
         first = _dense(cols[0], n) if n else ()
         entry = (intern(cols, cols), intern(proj, proj), intern(first, first))

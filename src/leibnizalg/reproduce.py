@@ -9,6 +9,12 @@ Sweep experiments instantiate cocycle coefficients over the grid
 {-1, 0, 1, 2} and match each resulting extension against catalog families
 by invariant fingerprint, verifying an explicit change of basis wherever
 the normalization stays rational.
+
+Experiments 4.4-4.7 each declare a `Roster` in `ROSTERS`, keyed by id: the
+base family, the number of extra central directions, the label prefixes of
+the members whose nilindex stays at n, two prefixes whose classes are
+checked against each other, and the members, one `_members` row each.  One
+runner, `_run_roster`, checks every roster the same way.
 """
 
 from __future__ import annotations
@@ -63,9 +69,8 @@ class Report:
     def ok(self) -> bool:
         return all(line.ok for line in self.lines)
 
-    def add(self, name: str, ok: bool, detail: str = "") -> bool:
+    def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.lines.append(CheckLine(name, bool(ok), detail))
-        return bool(ok)
 
     def note(self, text: str) -> None:
         self.notes.append(text)
@@ -109,19 +114,32 @@ def _col(dim: int, entries: dict[int, Fraction]) -> tuple[Fraction, ...]:
     return tuple(v)
 
 
-def _relabel_columns(n: int, last: Fraction) -> list[tuple[Fraction, ...]]:
-    """Base change sending the extension of an n-dim algebra to chain order.
+def _relabel_columns(n: int, *lasts: Fraction) -> list[tuple[Fraction, ...]]:
+    """Base change sending an extension of an n-dim algebra to chain order.
 
     Column i of the result (1-based): e_1, then e_3 .. e_n, then e_2, then
-    `last` times the adjoined direction.
+    `lasts[j]` times the j-th adjoined direction.
     """
-    big = n + 1
+    big = n + len(lasts)
     cols = [_col(big, {1: Fraction(1)})]
     for i in range(2, n):
         cols.append(_col(big, {i + 1: Fraction(1)}))
     cols.append(_col(big, {2: Fraction(1)}))
-    cols.append(_col(big, {big: last}))
+    cols += [_col(big, {n + j: last}) for j, last in enumerate(lasts, 1)]
     return cols
+
+
+def _members(family: str, names: tuple[str, ...] = (),
+             rows: tuple[tuple, ...] = ((),)) -> tuple[tuple[str, str, dict], ...]:
+    """(label, family, params) per parameter row, labelled as in "L(1,0,0,0)"."""
+    return tuple(
+        ("%s(%s)" % (family, ",".join(str(v) for v in row)) if names else family,
+         family, dict(zip(names, row)))
+        for row in rows
+    )
+
+
+_LAM = ("lam",)
 
 
 # ---------------------------------------------------------------- 3.1
@@ -239,62 +257,61 @@ def _run_41(report: Report, n: int | None, seed: int) -> None:
 # ---------------------------------------------------------------- 4.2 / 4.3
 
 
-def _candidates_f1(big: int) -> list[tuple[str, Algebra]]:
-    out: list[tuple[str, Algebra]] = [
-        ("F1+C", direct_sum(catalog.make("F1", big - 1), abelian_algebra(1)))
-    ]
-    for alpha in (0, 1):
-        for theta in (0, 1):
-            out.append((
-                "F1param(%d,%d)" % (alpha, theta),
-                catalog.make("F1param", big, **{"alpha%d" % big: alpha, "theta": theta}),
-            ))
-    for lam in (-1, 0, 1):
-        out.append(("L3l(%d)" % lam, catalog.make("L3l", big, lam=lam)))
-    for lam in (Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1, 2),
-                Fraction(1), Fraction(2)):
-        out.append(("L4l(%s)" % lam, catalog.make("L4l", big, lam=lam)))
-    out.append(("L5lm(1,1)", catalog.make("L5lm", big, lam=1, mu=1)))
-    out.append(("L5lm(2,4)", catalog.make("L5lm", big, lam=2, mu=4)))
-    out.append(("L1", catalog.make("L1", big)))
+# the dim-indexed and the scalar parameter of F1param / F2param
+_PARAMETERS = {"F1": ("alpha", "theta"), "F2": ("beta", "gamma")}
+
+# the listed classes a sweep cell may match, past the direct sum and the
+# 2x2 grid of the parametric family
+_SWEEP_TAILS = {
+    "F1": (_members("L3l", _LAM, ((-1,), (0,), (1,)))
+           + _members("L4l", _LAM, tuple(
+               (Fraction(v),) for v in ("-2", "-1", "-1/2", "1/2", "1", "2")))
+           + _members("L5lm", ("lam", "mu"), ((1, 1), (2, 4)))
+           + _members("L1")),
+    "F2": (_members("L1l", _LAM, tuple(
+               (Fraction(v),) for v in ("-2", "-1", "-1/2", "0", "1/2", "1", "2")))
+           + _members("L2l", _LAM, ((0,), (1,)))
+           + _members("L2")),
+}
+
+
+def _param_target(family: str, big: int, first, second) -> tuple[str, Algebra]:
+    dimmed, scalar = _PARAMETERS[family]
+    return ("%sparam(%s,%s)" % (family, first, second),
+            catalog.make(family + "param", big,
+                         **{"%s%d" % (dimmed, big): first, scalar: second}))
+
+
+def _candidates(family: str, big: int) -> list[tuple[str, Algebra]]:
+    out = [("%s+C" % family, direct_sum(catalog.make(family, big - 1), abelian_algebra(1)))]
+    out += [_param_target(family, big, x, y) for x, y in product((0, 1), repeat=2)]
+    out += [(label, catalog.make(fam, big, **params))
+            for label, fam, params in _SWEEP_TAILS[family]]
     return out
 
 
-def _candidates_f2(big: int) -> list[tuple[str, Algebra]]:
-    out: list[tuple[str, Algebra]] = [
-        ("F2+C", direct_sum(catalog.make("F2", big - 1), abelian_algebra(1)))
-    ]
-    for beta in (0, 1):
-        for gamma in (0, 1):
-            out.append((
-                "F2param(%d,%d)" % (beta, gamma),
-                catalog.make("F2param", big, **{"beta%d" % big: beta, "gamma": gamma}),
-            ))
-    for lam in (Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0),
-                Fraction(1, 2), Fraction(1), Fraction(2)):
-        out.append(("L1l(%s)" % lam, catalog.make("L1l", big, lam=lam)))
-    for lam in (0, 1):
-        out.append(("L2l(%d)" % lam, catalog.make("L2l", big, lam=lam)))
-    out.append(("L2", catalog.make("L2", big)))
-    return out
-
-
-def _witness_f1(n: int, cell: tuple[Fraction, Fraction, Fraction, Fraction]):
+def _witness(family: str, n: int, cell: tuple[Fraction, Fraction, Fraction, Fraction]):
     """Explicit in-list target and change of basis for a sweep cell, if rational."""
     a1, a2, a3, a4 = cell
     big = n + 1
     if not any(cell):
-        target = direct_sum(catalog.make("F1", n), abelian_algebra(1))
-        return ("F1+C", target, Matrix.identity(big))
+        target = direct_sum(catalog.make(family, n), abelian_algebra(1))
+        return ("%s+C" % family, target, Matrix.identity(big))
     if a2:
-        target = catalog.make(
-            "F1param", big, **{"alpha%d" % big: a4 / a2, "theta": a3 / a2}
-        )
+        # onto F1param(alpha=a4/a2, theta=a3/a2) or F2param(beta=a3/a2, gamma=a4/a2)
+        first, second = (a4 / a2, a3 / a2) if family == "F1" else (a3 / a2, a4 / a2)
         cols = [_col(big, {1: Fraction(1)}),
                 _col(big, {2: Fraction(1), n: -a1 / a2})]
         cols += [_col(big, {i: Fraction(1)}) for i in range(3, n + 1)]
         cols.append(_col(big, {big: a2}))
-        return ("F1param(%s,%s)" % (a4 / a2, a3 / a2), target, Matrix.from_columns(cols))
+        return _param_target(family, big, first, second) + (Matrix.from_columns(cols),)
+    return (_witness_f1 if family == "F1" else _witness_f2)(n, cell)
+
+
+def _witness_f1(n: int, cell: tuple[Fraction, Fraction, Fraction, Fraction]):
+    """`_witness` of a nonzero F1 cell with a2 = 0."""
+    a1, _, a3, a4 = cell
+    big = n + 1
     if a1:
         lam, mu = a3 / a1, a4 / a1
         cols = _relabel_columns(n, a1)
@@ -322,20 +339,9 @@ def _witness_f1(n: int, cell: tuple[Fraction, Fraction, Fraction, Fraction]):
 
 
 def _witness_f2(n: int, cell: tuple[Fraction, Fraction, Fraction, Fraction]):
-    a1, a2, a3, a4 = cell
+    """`_witness` of a nonzero F2 cell with a2 = 0."""
+    a1, _, a3, a4 = cell
     big = n + 1
-    if not any(cell):
-        target = direct_sum(catalog.make("F2", n), abelian_algebra(1))
-        return ("F2+C", target, Matrix.identity(big))
-    if a2:
-        target = catalog.make(
-            "F2param", big, **{"beta%d" % big: a3 / a2, "gamma": a4 / a2}
-        )
-        cols = [_col(big, {1: Fraction(1)}),
-                _col(big, {2: Fraction(1), n: -a1 / a2})]
-        cols += [_col(big, {i: Fraction(1)}) for i in range(3, n + 1)]
-        cols.append(_col(big, {big: a2}))
-        return ("F2param(%s,%s)" % (a3 / a2, a4 / a2), target, Matrix.from_columns(cols))
     if a1:
         lam = a3 / a1
         if not a4:
@@ -364,14 +370,9 @@ def _witness_f2(n: int, cell: tuple[Fraction, Fraction, Fraction, Fraction]):
 
 
 def _run_sweep(family: str, report: Report, n: int | None, seed: int) -> None:
-    supports = {"F1": _witness_f1, "F2": _witness_f2}
-    witness_of = supports[family]
-    candidates_of = {"F1": _candidates_f1, "F2": _candidates_f2}[family]
     for n_ in _pick_ns((5, 6), n, 5, 7):
         base = catalog.make(family, n_)
-        big = n_ + 1
-        candidates = candidates_of(big)
-        fps = [(label, fingerprint(alg)) for label, alg in candidates]
+        fps = [(label, fingerprint(alg)) for label, alg in _candidates(family, n_ + 1)]
         unmatched: list[tuple] = []
         bad_witness: list[tuple] = []
         witnessed = 0
@@ -386,7 +387,7 @@ def _run_sweep(family: str, report: Report, n: int | None, seed: int) -> None:
                       if compare_fingerprints(f, fp).verdict == "equal"]
             if len(set(labels)) > 1:
                 ties.add(tuple(sorted(set(labels))))
-            witness = witness_of(n_, cell)
+            witness = _witness(family, n_, cell)
             if witness is not None:
                 target_label, target, p = witness
                 if verify_isomorphism(target, ext, p).ok:
@@ -420,32 +421,75 @@ def _run_sweep(family: str, report: Report, n: int | None, seed: int) -> None:
 # ---------------------------------------------------------------- 4.4 .. 4.7
 
 
-def _roster_check(report: Report, tag: str, members: list[tuple[str, str, int, dict]],
-                  dim: int, want_nilindex: int,
-                  short_prefixes: tuple[str, ...] = ()) -> dict[str, Algebra]:
-    # adding central directions keeps nilindex at s or pushes it to s+1; the
-    # families named in short_prefixes are the ones stuck at the lower value
+@dataclass(frozen=True)
+class Roster:
+    """The listed classes of `extra` central directions over `base`, dim n + extra."""
+
+    base: str
+    extra: int
+    short: tuple[str, ...]
+    cross: tuple[str, str]
+    members: tuple[tuple[str, str, dict], ...]
+
+
+_ALPHA_BETA = ("alpha3", "beta3", "alpha4", "beta4")
+
+ROSTERS = {
+    "4.4": Roster("F1", 2, ("M(",), ("L(", "M("), _members("L", _ALPHA_BETA, (
+        (1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1),
+        (1, 0, 0, 2), (0, 1, -1, 0), (0, 1, 1, 1), (0, 1, 2, 4)))
+        + _members("M", ("alpha4", "beta4"), (
+            (1, 0), (1, 2), (0, 0), (0, 1), (0, 2), (2, 1), (2, 2), (1, 1)))
+        + _members("Lstar") + _members("L1")
+        + _members("L3l", _LAM, ((-1,), (0,), (1,)))
+        + _members("L4l", _LAM, ((1,), (2,)))
+        + _members("L5lm", ("lam", "mu"), ((1, 1), (2, 4)))),
+    "4.5": Roster("F2", 2, ("R(",), ("N(", "R("), _members("N", _ALPHA_BETA, (
+        (1, 0, 0, 0), (0, 1, 1, 0), (0, 1, 2, 0), (1, 0, 0, 1), (0, 1, 0, 0),
+        (0, 1, 1, 1)))
+        + _members("R", _ALPHA_BETA, (
+            (0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 1, -1), (0, 1, 1, 0), (0, 1, 1, 1),
+            (0, 1, 1, 2), (1, 0, 0, 1)))
+        + _members("Nstar") + _members("L2")
+        + _members("L1l", _LAM, ((-1,), (0,), (1,), (2,)))
+        + _members("L2l", _LAM, ((0,), (1,)))),
+    "4.6": Roster("F1", 3, ("Pstar",), ("P(", "Pstar"), _members(
+        "P", ("alpha4", "beta4", "gamma4"), (
+            (0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1), (0, 0, 2), (1, 0, 2),
+            (0, 1, 0), (0, 1, 2), (0, 2, 1), (0, 2, 2), (0, 1, 1)))
+        + _members("Pstar")),
+    "4.7": Roster("F2", 3, ("Qstar",), ("Q(", "Qstar"), _members(
+        "Q", ("alpha4", "beta3", "beta4", "gamma3", "gamma4"), (
+            (0, 0, 0, 1, 0), (1, 0, 0, 1, 0), (0, 0, 0, 1, 1), (1, 0, 0, 1, 1),
+            (0, 0, 1, 1, -1), (0, 0, 1, 1, 0), (0, 0, 1, 1, 1), (0, 0, 1, 1, 2),
+            (0, 1, 0, 0, 1)))
+        + _members("Qstar")),
+}
+
+
+def _roster_check(report: Report, tag: str, roster: Roster, dim: int,
+                  want_nilindex: int) -> dict[str, Algebra]:
     built: dict[str, Algebra] = {}
     broken: list[str] = []
     wrong_profile: list[str] = []
     short = 0
-    for label, family, d, params in members:
+    for label, family, params in roster.members:
         try:
-            alg = catalog.make(family, d, **params)
+            alg = catalog.make(family, dim, **params)
         except (LeibnizError, ValueError) as exc:
             broken.append("%s (%s)" % (label, exc))
             continue
         built[label] = alg
-        is_short = label.startswith(short_prefixes) if short_prefixes else False
+        is_short = label.startswith(roster.short)
         want = want_nilindex - 1 if is_short else want_nilindex
         short += is_short
         if nilindex(alg) != want:
             wrong_profile.append("%s (nilindex %d, expected %d)"
                                  % (label, nilindex(alg), want))
     report.add(
-        "%s: all %d listed classes satisfy the bracket identity" % (tag, len(members)),
+        "%s: all %d listed classes satisfy the bracket identity" % (tag, len(roster.members)),
         not broken,
-        "constructed %d/%d" % (len(built), len(members))
+        "constructed %d/%d" % (len(built), len(roster.members))
         + ("; failed: %s" % broken if broken else ""),
     )
     report.add(
@@ -458,20 +502,19 @@ def _roster_check(report: Report, tag: str, members: list[tuple[str, str, int, d
     return built
 
 
+def _separated(built: dict[str, Algebra], x: str, y: str) -> bool:
+    return compare_fingerprints(
+        fingerprint(built[x]), fingerprint(built[y])
+    ).verdict == "distinguished"
+
+
 def _pairwise_note(report: Report, tag: str, built: dict[str, Algebra]) -> None:
     labels = sorted(built)
-    distinguished = 0
-    open_pairs: list[tuple[str, str]] = []
-    for x, y in combinations(labels, 2):
-        verdict = compare_fingerprints(fingerprint(built[x]), fingerprint(built[y])).verdict
-        if verdict == "distinguished":
-            distinguished += 1
-        else:
-            open_pairs.append((x, y))
+    open_pairs = [(x, y) for x, y in combinations(labels, 2) if not _separated(built, x, y)]
     total = len(labels) * (len(labels) - 1) // 2
     report.note(
         "%s: %d/%d pairs certified non-isomorphic by invariants; undetermined: %s"
-        % (tag, distinguished, total,
+        % (tag, total - len(open_pairs), total,
            open_pairs if len(open_pairs) <= 40 else len(open_pairs))
     )
 
@@ -480,14 +523,7 @@ def _cross_distinguished(report: Report, tag: str, built: dict[str, Algebra],
                          left_prefix: str, right_prefix: str) -> None:
     lefts = [l for l in built if l.startswith(left_prefix)]
     rights = [l for l in built if l.startswith(right_prefix)]
-    failing = []
-    for x in lefts:
-        for y in rights:
-            verdict = compare_fingerprints(
-                fingerprint(built[x]), fingerprint(built[y])
-            ).verdict
-            if verdict != "distinguished":
-                failing.append((x, y))
+    failing = [(x, y) for x in lefts for y in rights if not _separated(built, x, y)]
     report.add(
         "%s: %s-classes vs %s-classes certified non-isomorphic"
         % (tag, left_prefix.rstrip("("), right_prefix.rstrip("(")),
@@ -513,99 +549,16 @@ def _demo_pair_extension(report: Report, tag: str, family: str, n_: int,
     )
 
 
-def _run_44(report: Report, n: int | None, seed: int) -> None:
+def _run_roster(experiment: str, report: Report, n: int | None, seed: int) -> None:
+    roster = ROSTERS[experiment]
     for n_ in _pick_ns((5,), n, 5, 7):
-        big = n_ + 2
-        members: list[tuple[str, str, int, dict]] = []
-        for a3, b3, a4, b4 in ((1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0),
-                               (1, 0, 0, 1), (1, 0, 0, 2), (0, 1, -1, 0), (0, 1, 1, 1),
-                               (0, 1, 2, 4)):
-            members.append((
-                "L(%d,%d,%d,%d)" % (a3, b3, a4, b4), "L", big,
-                {"alpha3": a3, "beta3": b3, "alpha4": a4, "beta4": b4},
-            ))
-        for a4, b4 in ((1, 0), (1, 2), (0, 0), (0, 1), (0, 2), (2, 1), (2, 2), (1, 1)):
-            members.append(("M(%d,%d)" % (a4, b4), "M", big,
-                            {"alpha4": a4, "beta4": b4}))
-        members.append(("Lstar", "Lstar", big, {}))
-        members.append(("L1", "L1", big, {}))
-        for lam in (-1, 0, 1):
-            members.append(("L3l(%d)" % lam, "L3l", big, {"lam": lam}))
-        for lam in (1, 2):
-            members.append(("L4l(%d)" % lam, "L4l", big, {"lam": lam}))
-        members.append(("L5lm(1,1)", "L5lm", big, {"lam": 1, "mu": 1}))
-        members.append(("L5lm(2,4)", "L5lm", big, {"lam": 2, "mu": 4}))
-        tag = "two extra directions over F1, dim %d" % big
-        built = _roster_check(report, tag, members, big, big - 1,
-                              short_prefixes=("M(",))
-        _cross_distinguished(report, tag, built, "L(", "M(")
-        _demo_pair_extension(report, tag, "F1", n_, built)
-        _pairwise_note(report, tag, built)
-
-
-def _run_45(report: Report, n: int | None, seed: int) -> None:
-    for n_ in _pick_ns((5,), n, 5, 7):
-        big = n_ + 2
-        members: list[tuple[str, str, int, dict]] = []
-        for a3, b3, a4, b4 in ((1, 0, 0, 0), (0, 1, 1, 0), (0, 1, 2, 0), (1, 0, 0, 1),
-                               (0, 1, 0, 0), (0, 1, 1, 1)):
-            members.append((
-                "N(%d,%d,%d,%d)" % (a3, b3, a4, b4), "N", big,
-                {"alpha3": a3, "beta3": b3, "alpha4": a4, "beta4": b4},
-            ))
-        for a3, b3, a4, b4 in ((0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 1, -1), (0, 1, 1, 0),
-                               (0, 1, 1, 1), (0, 1, 1, 2), (1, 0, 0, 1)):
-            members.append((
-                "R(%d,%d,%d,%d)" % (a3, b3, a4, b4), "R", big,
-                {"alpha3": a3, "beta3": b3, "alpha4": a4, "beta4": b4},
-            ))
-        members.append(("Nstar", "Nstar", big, {}))
-        members.append(("L2", "L2", big, {}))
-        for lam in (-1, 0, 1, 2):
-            members.append(("L1l(%d)" % lam, "L1l", big, {"lam": lam}))
-        for lam in (0, 1):
-            members.append(("L2l(%d)" % lam, "L2l", big, {"lam": lam}))
-        tag = "two extra directions over F2, dim %d" % big
-        built = _roster_check(report, tag, members, big, big - 1,
-                              short_prefixes=("R(",))
-        _cross_distinguished(report, tag, built, "N(", "R(")
-        _demo_pair_extension(report, tag, "F2", n_, built)
-        _pairwise_note(report, tag, built)
-
-
-def _run_46(report: Report, n: int | None, seed: int) -> None:
-    for n_ in _pick_ns((5,), n, 5, 7):
-        big = n_ + 3
-        members: list[tuple[str, str, int, dict]] = []
-        for a4, b4, g4 in ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1), (0, 0, 2),
-                           (1, 0, 2), (0, 1, 0), (0, 1, 2), (0, 2, 1), (0, 2, 2),
-                           (0, 1, 1)):
-            members.append(("P(%d,%d,%d)" % (a4, b4, g4), "P", big,
-                            {"alpha4": a4, "beta4": b4, "gamma4": g4}))
-        members.append(("Pstar", "Pstar", big, {}))
-        tag = "three extra directions over F1, dim %d" % big
-        built = _roster_check(report, tag, members, big, big - 2,
-                              short_prefixes=("Pstar",))
-        _cross_distinguished(report, tag, built, "P(", "Pstar")
-        _pairwise_note(report, tag, built)
-
-
-def _run_47(report: Report, n: int | None, seed: int) -> None:
-    for n_ in _pick_ns((5,), n, 5, 7):
-        big = n_ + 3
-        members: list[tuple[str, str, int, dict]] = []
-        for a4, b3, b4, g3, g4 in ((0, 0, 0, 1, 0), (1, 0, 0, 1, 0), (0, 0, 0, 1, 1),
-                                   (1, 0, 0, 1, 1), (0, 0, 1, 1, -1), (0, 0, 1, 1, 0),
-                                   (0, 0, 1, 1, 1), (0, 0, 1, 1, 2), (0, 1, 0, 0, 1)):
-            members.append((
-                "Q(%d,%d,%d,%d,%d)" % (a4, b3, b4, g3, g4), "Q", big,
-                {"alpha4": a4, "beta3": b3, "beta4": b4, "gamma3": g3, "gamma4": g4},
-            ))
-        members.append(("Qstar", "Qstar", big, {}))
-        tag = "three extra directions over F2, dim %d" % big
-        built = _roster_check(report, tag, members, big, big - 2,
-                              short_prefixes=("Qstar",))
-        _cross_distinguished(report, tag, built, "Q(", "Qstar")
+        big = n_ + roster.extra
+        tag = "%s extra directions over %s, dim %d" % (
+            {2: "two", 3: "three"}[roster.extra], roster.base, big)
+        built = _roster_check(report, tag, roster, big, n_ + 1)
+        _cross_distinguished(report, tag, built, *roster.cross)
+        if roster.extra == 2:
+            _demo_pair_extension(report, tag, roster.base, n_, built)
         _pairwise_note(report, tag, built)
 
 
@@ -638,11 +591,8 @@ def _run_full_extension(family: str, target_family: str, report: Report,
         )
         big = n_ + 4
         target = catalog.make(target_family, big)
-        cols = [_col(big, {1: Fraction(1)})]
-        cols += [_col(big, {i + 1: Fraction(1)}) for i in range(2, n_)]
-        cols.append(_col(big, {2: Fraction(1)}))
-        cols += [_col(big, {n_ + j: Fraction(1)}) for j in range(1, 5)]
-        check = verify_isomorphism(target, ext, Matrix.from_columns(cols))
+        check = verify_isomorphism(target, ext,
+                                   Matrix.from_columns(_relabel_columns(n_, 1, 1, 1, 1)))
         report.add(
             "%s dim %d: permutation onto the catalog table %s" % (family, n_, target_family),
             check.ok,
@@ -691,10 +641,10 @@ EXPERIMENTS: dict[str, tuple[str, object]] = {
     "4.1": ("second cohomology of the two graded filiform families", _run_41),
     "4.2": ("one-dimensional extensions of the type-1 filiform family, full sweep", partial(_run_sweep, "F1")),
     "4.3": ("one-dimensional extensions of the type-2 filiform family, full sweep", partial(_run_sweep, "F2")),
-    "4.4": ("two-dimensional extension classes over the type-1 filiform family", _run_44),
-    "4.5": ("two-dimensional extension classes over the type-2 filiform family", _run_45),
-    "4.6": ("three-dimensional extension classes over the type-1 filiform family", _run_46),
-    "4.7": ("three-dimensional extension classes over the type-2 filiform family", _run_47),
+    "4.4": ("two-dimensional extension classes over the type-1 filiform family", partial(_run_roster, "4.4")),
+    "4.5": ("two-dimensional extension classes over the type-2 filiform family", partial(_run_roster, "4.5")),
+    "4.6": ("three-dimensional extension classes over the type-1 filiform family", partial(_run_roster, "4.6")),
+    "4.7": ("three-dimensional extension classes over the type-2 filiform family", partial(_run_roster, "4.7")),
     "4.8": ("the irreducible four-dimensional extension of the type-1 family",
             partial(_run_full_extension, "F1", "E4F1")),
     "4.9": ("the irreducible four-dimensional extension of the type-2 family",
