@@ -27,6 +27,15 @@ derives from n (the extension's dim, the expected nilindex) are pinned
 beyond the default n.  It was recorded while 4.4-4.7 were still four
 hand-written runners, before one roster runner replaced them.
 
+`golden_catalog.json` holds the table of every catalog family at every
+admissible dim up to 10 with the parameter draws of `test_catalog`, each
+rational parameter alone at -3/2 (required ones at a valid value), the
+exception type of refused requests (a choice parameter at 1/2, L4l with
+lam = 0, F3 with alpha = 1 at an odd dim, an unknown name, a dim below
+the minimum, ...) and the text and JSON of `catalog list`.  It was
+recorded while every family still had a hand-written `_build_*` function
+that read its parameters itself.
+
 `golden_subspaces.json` holds the canonical rref basis and pivots of
 every lower central series term, the center, both annihilators, the
 squares subspace and BL^2 of the same six members in the same three
@@ -40,15 +49,18 @@ Regenerate only for a change meant to alter these outputs:
     PYTHONPATH=src python tests/test_golden_outputs.py reproduce > tests/golden_reproduce.json
     PYTHONPATH=src python tests/test_golden_outputs.py reproduce-ns > tests/golden_reproduce_ns.json
     PYTHONPATH=src python tests/test_golden_outputs.py subspaces > tests/golden_subspaces.json
+    PYTHONPATH=src python tests/test_golden_outputs.py catalog > tests/golden_catalog.json
 """
 
+import contextlib
+import io
 import json
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from leibnizalg import catalog, reproduce
+from leibnizalg import catalog, cli, reproduce
 from leibnizalg.cohomology import BilinearForm, coboundary_space, cocycle_space, cohomology_basis
 from leibnizalg.core import (
     center,
@@ -59,13 +71,15 @@ from leibnizalg.core import (
 )
 from leibnizalg.extension import make_spec, random_cocycle_forms, reduce_extension
 from leibnizalg.isomorphism import fingerprint, transform_algebra
-from leibnizalg.linalg import Matrix
+from leibnizalg.linalg import Matrix, frac
+from test_catalog import grid_cases
 
 FIXTURE = Path(__file__).with_name("golden_outputs.json")
 REDUCE_FIXTURE = Path(__file__).with_name("golden_reduce.json")
 REPRODUCE_FIXTURE = Path(__file__).with_name("golden_reproduce.json")
 REPRODUCE_NS_FIXTURE = Path(__file__).with_name("golden_reproduce_ns.json")
 SUBSPACES_FIXTURE = Path(__file__).with_name("golden_subspaces.json")
+CATALOG_FIXTURE = Path(__file__).with_name("golden_catalog.json")
 
 MEMBERS = (
     ("NF", 5, {}),
@@ -193,6 +207,59 @@ def reproduce_ns_payload():
             for n in (6, 7)]
 
 
+def catalog_requests():
+    """(family, dim, params) requests, accepted and refused, for the catalog fixture."""
+    yield from grid_cases()
+    valid = {"L4l": {"lam": 1}, "L5lm": {"lam": 1, "mu": 1}}
+    for info in catalog.list_families():
+        fam = info.family
+        dims = (5,) if fam == "L6" else range(info.min_dim, 11)
+        for d in dims:
+            for spec in info.params:
+                if spec.kind == "choice":
+                    continue
+                names = ([spec.name] if "<j>" not in spec.name else
+                         [spec.name.replace("<j>", str(j)) for j in range(4, d + 1)])
+                for name in names:
+                    yield fam, d, {**valid.get(fam, {}), name: Fraction(-3, 2)}
+    for fam in ("F3", "L2l", "L3l"):
+        yield fam, 6, {catalog.family_info(fam).params[0].name: Fraction(1, 2)}
+    yield "L4l", 6, {"lam": 0}
+    yield "L4l", 6, {}
+    yield "L5lm", 6, {"lam": 1}
+    yield "L5lm", 6, {"lam": 2, "mu": 1}
+    yield "F3", 5, {"alpha": 1}
+    yield "F3", 7, {"alpha": 1}
+    yield "F1param", 6, {"alpha3": 1}
+    yield "F1param", 6, {"alpha7": 1}
+    yield "L1l", 6, {"lam": "1/2", "mu": 1}
+    yield "L6", 6, {}
+    for info in catalog.list_families():
+        yield info.family, info.min_dim, {"bogus": 1}
+        yield info.family, info.min_dim - 1, {}
+
+
+def catalog_payload():
+    cases = []
+    for fam, d, params in catalog_requests():
+        case = {"family": fam, "dim": d, "params": {k: str(frac(v)) for k, v in params.items()}}
+        try:
+            a = catalog.make(fam, d, **params)
+        except Exception as exc:  # noqa: BLE001 - the type is what is pinned
+            case["error"] = type(exc).__name__
+        else:
+            case["checked"] = a.checked
+            case["brackets"] = [[i, j, k, str(c)] for i, j, k, c in a.products()]
+        cases.append(case)
+    listing = {}
+    for fmt in ("text", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(["catalog", "list", "--format", fmt])
+        listing[fmt] = out.getvalue()
+    return {"cases": cases, "list": listing}
+
+
 def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -217,7 +284,12 @@ def test_subspaces_match_golden_fixture():
     assert dumps(subspaces_payload()) == SUBSPACES_FIXTURE.read_text()
 
 
+def test_catalog_matches_golden_fixture():
+    assert dumps(catalog_payload()) == CATALOG_FIXTURE.read_text()
+
+
 if __name__ == "__main__":
     PAYLOADS = {"reduce": reduce_payload, "reproduce": reproduce_payload,
-                "reproduce-ns": reproduce_ns_payload, "subspaces": subspaces_payload}
+                "reproduce-ns": reproduce_ns_payload, "subspaces": subspaces_payload,
+                "catalog": catalog_payload}
     print(dumps(PAYLOADS.get(" ".join(sys.argv[1:]), payload)()), end="")
