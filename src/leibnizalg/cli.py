@@ -60,8 +60,13 @@ def _parse_params(raw: list[str] | None) -> dict[str, Fraction]:
             if "=" not in piece:
                 raise ValueError("parameter '%s' is not of the form name=value" % piece)
             name, _, value = piece.partition("=")
+            name = name.strip()
+            if not name:
+                raise ValueError("parameter '%s' has no name" % piece)
+            if name in params:
+                raise ValueError("parameter '%s' is given more than once" % name)
             try:
-                params[name.strip()] = frac(value.strip())
+                params[name] = frac(value.strip())
             except (ValueError, ZeroDivisionError):
                 raise ValueError("parameter value '%s' is not rational" % value) from None
     return params
@@ -79,6 +84,8 @@ def _algebra_from_args(args: argparse.Namespace) -> tuple[Algebra, str]:
         return algebra, "%s dim %d" % (args.family, args.n)
     if args.file is None:
         raise ValueError("give an algebra file or --family")
+    if args.n is not None or args.param:
+        raise ValueError("--n and --param apply only to --family, not to a file")
     algebra, meta = read_algebra_file(args.file)
     return algebra, meta.get("name", args.file)
 
@@ -357,12 +364,16 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
                         help="output format (default text)")
 
 
+def _add_param(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--param", "--params", action="append", dest="param",
+                        metavar="NAME=VALUE", help="family parameter, repeatable")
+
+
 def _add_family_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("file", nargs="?", help="algebra file (JSON)")
     parser.add_argument("--family", help="catalog family instead of a file")
     parser.add_argument("--n", type=int, help="dimension for --family")
-    parser.add_argument("--param", "--params", action="append", dest="param",
-                        metavar="NAME=VALUE", help="family parameter, repeatable")
+    _add_param(parser)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -427,8 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cat_sub.add_parser("make", help="construct a family member")
     p.add_argument("family")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--param", "--params", action="append", dest="param",
-                   metavar="NAME=VALUE")
+    _add_param(p)
     p.add_argument("--out", help="write the algebra to this file")
     _add_format(p)
     p.set_defaults(handler=_cmd_catalog_make)

@@ -178,10 +178,14 @@ def algebra_from_dict(data: dict) -> tuple[Algebra, dict]:
     as in a record, kept in the metadata as canonical literals.  The
     Leibniz identity is deliberately not checked here; `validate` and the
     operations that need it decide that themselves.
-    A dim above `core.MAX_DIM` is refused before anything is allocated.
+    A dim above `core.MAX_DIM` is refused before anything is allocated,
+    and a document without `brackets`, so a cocycle document is never
+    read as the abelian algebra of its dim.
     """
+    if "brackets" not in data:
+        raise FileFormatError("not an algebra document: it has no 'brackets'")
     dim = _size(data.get("dim"), "dim")
-    records = _expect_list(data.get("brackets", []), "brackets")
+    records = _expect_list(data["brackets"], "brackets")
     ints: list[tuple[int, int, int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
     for pos, record in enumerate(records):
@@ -229,11 +233,14 @@ def forms_from_dict(data: dict) -> tuple[int, tuple[BilinearForm, ...]]:
     """Parse a cocycle document; dim and k above `core.MAX_DIM` are refused.
 
     Each component is built from its sparse entries alone, so no dense
-    k x dim x dim grid is allocated.
+    k x dim x dim grid is allocated.  A document without `entries` is
+    refused, so an algebra document is never read as the zero cocycle.
     """
+    if "entries" not in data:
+        raise FileFormatError("not a cocycle document: it has no 'entries'")
     dim = _size(data.get("dim"), "dim")
     k = _size(data.get("k", 1), "k")
-    records = _expect_list(data.get("entries", []), "entries")
+    records = _expect_list(data["entries"], "entries")
     components: list[list[tuple[int, Fraction]]] = [[] for _ in range(k)]
     seen: set[tuple[int, int, int]] = set()
     for pos, record in enumerate(records):

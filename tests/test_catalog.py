@@ -202,3 +202,36 @@ def test_checker_agrees_with_direct_defect(fam, d, data):
                 if any(l - p + q for l, p, q in zip(lhs, r1, r2)):
                     brute.append((x + 1, y + 1, z + 1))
     assert [(v.i, v.j, v.k) for v in violations] == brute
+
+
+def _table(a):
+    return {(i, j, k): c for i, j, k, c in a.products()}
+
+
+def _affine_cases():
+    """(family, dim, name) for every non-choice parameter at dims min..min+2."""
+    for info in catalog.list_families():
+        if info.family == "L5lm":  # (lam, mu) is admissible only as a pair
+            continue
+        top = info.min_dim + 2 if info.max_dim is None else info.max_dim
+        for d in range(info.min_dim, top + 1):
+            for spec in info.params:
+                if spec.kind == "choice":
+                    continue
+                if spec.name.endswith("<j>"):
+                    for j in range(4, d + 1):
+                        yield info.family, d, spec.name[:-3] + str(j)
+                else:
+                    yield info.family, d, spec.name
+
+
+@pytest.mark.parametrize("fam,d,name", list(_affine_cases()))
+def test_tables_are_affine_in_each_parameter(fam, d, name):
+    # every constant is an int or an int times one parameter's value, so
+    # the table at t lies on the line through the tables at a and b
+    a, b, t = Fraction(1), Fraction(2), Fraction(-3, 2)
+    ta, tb, tt = (_table(catalog.make(fam, d, **{name: v})) for v in (a, b, t))
+    keys = set(ta) | set(tb) | set(tt)
+    line = {key: ta.get(key, 0) + (t - a) / (b - a) * (tb.get(key, 0) - ta.get(key, 0))
+            for key in keys}
+    assert {key: c for key, c in line.items() if c} == tt

@@ -423,3 +423,33 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "NF" in proc.stdout
+
+
+def test_catalog_make_repeated_param_exits_2(capsys):
+    assert main(["catalog", "make", "L1l", "--n", "6", "--param", "lam=1,lam=2"]) == 2
+    assert "given more than once" in capsys.readouterr().err
+    assert main(["catalog", "make", "L1l", "--n", "6",
+                 "--param", "lam=1", "--param", "lam=1"]) == 2
+
+
+def test_catalog_make_blank_param_name_exits_2(capsys):
+    assert main(["catalog", "make", "F1", "--n", "4", "--param", "=3"]) == 2
+    assert "has no name" in capsys.readouterr().err
+
+
+def test_family_flags_with_a_file_exit_2(nf4_file, capsys):
+    assert main(["invariants", nf4_file, "--n", "9", "--param", "bogus=1"]) == 2
+    assert "apply only to --family" in capsys.readouterr().err
+    assert main(["cohomology", nf4_file, "--n", "4"]) == 2
+    assert main(["invariants", nf4_file, "--param", "lam=1"]) == 2
+
+
+def test_validate_cocycle_document_exits_3(top_cocycle_file, capsys):
+    assert main(["validate", top_cocycle_file]) == 3
+    assert "no 'brackets'" in capsys.readouterr().err
+
+
+def test_split_check_algebra_as_cocycle_exits_3(nf4_file, capsys):
+    assert main(["split-check", nf4_file, "--cocycle", nf4_file]) == 3
+    assert "no 'entries'" in capsys.readouterr().err
+    assert main(["extend", nf4_file, "--cocycle", nf4_file]) == 3
