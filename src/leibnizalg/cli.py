@@ -1,19 +1,22 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage or argument
-error, 3 unreadable or malformed input file.
+error, 3 unreadable or malformed input file or unwritable `--out` file,
+141 stdout closed by its reader.  `main` alone maps errors to them.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
 from . import catalog, reproduce
 from .cohomology import cohomology_basis
-from .core import Algebra, LeibnizError, NotNilpotentError, check_leibniz
+from .core import Algebra, LeibnizError, NotNilpotentError, check_leibniz, require_leibniz
 from .extension import (
+    ExtensionSpec,
     InvalidCocycleError,
     central_extension,
     make_spec,
@@ -39,10 +42,6 @@ from .isomorphism import (
 from .linalg import frac
 
 
-class CheckFailed(Exception):
-    """A well-formed input failed a mathematical check (exit code 1)."""
-
-
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if args.format == "json":
         sys.stdout.write(dumps_canonical(payload))
@@ -56,7 +55,7 @@ def _parse_params(raw: list[str] | None) -> dict[str, Fraction]:
         for piece in chunk.split(","):
             piece = piece.strip()
             if not piece:
-                continue
+                raise ValueError("empty parameter in --param '%s'" % chunk)
             if "=" not in piece:
                 raise ValueError("parameter '%s' is not of the form name=value" % piece)
             name, _, value = piece.partition("=")
@@ -70,6 +69,14 @@ def _parse_params(raw: list[str] | None) -> dict[str, Fraction]:
             except (ValueError, ZeroDivisionError):
                 raise ValueError("parameter value '%s' is not rational" % value) from None
     return params
+
+
+def _read_valid(args: argparse.Namespace, path: str) -> tuple[Algebra, dict]:
+    """The algebra file at `path`, refused unless it is Leibniz, and its metadata."""
+    args.gated = path  # named by main if the gate refuses it
+    algebra, meta = read_algebra_file(path)
+    require_leibniz(algebra)
+    return algebra, meta
 
 
 def _algebra_from_args(args: argparse.Namespace) -> tuple[Algebra, str]:
@@ -86,27 +93,31 @@ def _algebra_from_args(args: argparse.Namespace) -> tuple[Algebra, str]:
         raise ValueError("give an algebra file or --family")
     if args.n is not None or args.param:
         raise ValueError("--n and --param apply only to --family, not to a file")
-    algebra, meta = read_algebra_file(args.file)
+    algebra, meta = _read_valid(args, args.file)
     return algebra, meta.get("name", args.file)
 
 
-def _require_valid(algebra: Algebra, name: str) -> None:
-    if algebra.checked:
-        return
-    violations = check_leibniz(algebra)
-    if violations:
-        raise CheckFailed(
-            "%s is not a Leibniz algebra: identity fails on (e%d, e%d, e%d)"
-            % (name, violations[0].i, violations[0].j, violations[0].k)
+def _read_spec(args: argparse.Namespace) -> tuple[ExtensionSpec, str | None]:
+    """The algebra file and `--cocycle` file as one spec, and the algebra's name."""
+    algebra, meta = _read_valid(args, args.file)
+    dim, forms = read_cocycle_file(args.cocycle)
+    if dim != algebra.dim:
+        raise FileFormatError(
+            "cocycle file is for dim %d but the algebra has dim %d" % (dim, algebra.dim)
         )
+    return make_spec(algebra, *forms), meta.get("name")
 
 
-def _format_algebra_text(algebra: Algebra, name: str | None = None) -> str:
-    lines = []
-    if name:
-        lines.append("%s (dim %d)" % (name, algebra.dim))
-    else:
-        lines.append("dim %d" % algebra.dim)
+def _emit_algebra(args: argparse.Namespace, algebra: Algebra, name: str | None, title: str,
+                  params: dict[str, Fraction] | None = None) -> None:
+    """Write the algebra to `--out`, or print it as JSON or as its bracket table."""
+    header = "%s (dim %d)" % (title, algebra.dim)
+    if args.out:
+        args.writing = True
+        write_algebra_file(args.out, algebra, name=name, params=params)
+        print("wrote %s to %s" % (header, args.out))
+        return
+    lines = [header]
     by_pair: dict[tuple[int, int], list[str]] = {}
     for i, j, k, c in algebra.products():
         term = algebra.label(k - 1) if c == 1 else "%s*%s" % (c, algebra.label(k - 1))
@@ -117,7 +128,7 @@ def _format_algebra_text(algebra: Algebra, name: str | None = None) -> str:
         )
     if not by_pair:
         lines.append("(all brackets vanish)")
-    return "\n".join(lines)
+    _emit(args, algebra_to_dict(algebra, name=name, params=params), "\n".join(lines))
 
 
 # ---------------------------------------------------------------- handlers
@@ -148,11 +159,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     algebra, name = _algebra_from_args(args)
-    _require_valid(algebra, name)
-    try:
-        fp = fingerprint(algebra)
-    except (NotNilpotentError, ValueError) as exc:
-        raise CheckFailed(str(exc)) from None
+    fp = fingerprint(algebra)
     text = ["invariants of %s" % name]
     for key, value in fp.as_dict().items():
         text.append("  %s: %s" % (key, value))
@@ -162,7 +169,6 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:
     algebra, name = _algebra_from_args(args)
-    _require_valid(algebra, name)
     basis = cohomology_basis(algebra)
     reps = [
         {
@@ -192,44 +198,20 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
 
 
 def _cmd_extend(args: argparse.Namespace) -> int:
-    algebra, meta = read_algebra_file(args.file)
-    name = meta.get("name")
-    _require_valid(algebra, name or args.file)
-    dim, forms = read_cocycle_file(args.cocycle)
-    if dim != algebra.dim:
-        raise FileFormatError(
-            "cocycle file is for dim %d but the algebra has dim %d" % (dim, algebra.dim)
-        )
-    if args.k is not None and args.k != len(forms):
-        raise ValueError("cocycle file has %d components, -k says %d" % (len(forms), args.k))
-    spec = make_spec(algebra, *forms)
-    ext = central_extension(spec)
-    ext_name = ("%s+ext%d" % (name, len(forms))) if name else None
-    payload = algebra_to_dict(ext, name=ext_name)
-    if args.out:
-        write_algebra_file(args.out, ext, name=ext_name)
-        print("wrote dim %d extension to %s" % (ext.dim, args.out))
-        return 0
-    if args.format == "json":
-        sys.stdout.write(dumps_canonical(payload))
-    else:
-        print(_format_algebra_text(ext, ext_name or "central extension"))
+    spec, name = _read_spec(args)
+    if args.k is not None and args.k != spec.k:
+        raise ValueError("cocycle file has %d components, -k says %d" % (spec.k, args.k))
+    ext_name = ("%s+ext%d" % (name, spec.k)) if name else None
+    _emit_algebra(args, central_extension(spec), ext_name, ext_name or "central extension")
     return 0
 
 
 def _cmd_split_check(args: argparse.Namespace) -> int:
-    algebra, meta = read_algebra_file(args.file)
-    _require_valid(algebra, meta.get("name", args.file))
-    dim, forms = read_cocycle_file(args.cocycle)
-    if dim != algebra.dim:
-        raise FileFormatError(
-            "cocycle file is for dim %d but the algebra has dim %d" % (dim, algebra.dim)
-        )
-    spec = make_spec(algebra, *forms)
+    spec, _ = _read_spec(args)
     report = reduce_extension(spec)
     witness = None
     if report.split:
-        n, k = algebra.dim, spec.k
+        n, k = spec.base.dim, spec.k
         witness = [str(c) for c in report.change_of_basis.column(n + k - 1)]
     payload = {
         "components": spec.k,
@@ -251,15 +233,14 @@ def _cmd_split_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_iso_verify(args: argparse.Namespace) -> int:
-    a, meta_a = read_algebra_file(args.a)
-    b, meta_b = read_algebra_file(args.b)
-    _require_valid(a, meta_a.get("name", args.a))
-    _require_valid(b, meta_b.get("name", args.b))
+    a, _ = _read_valid(args, args.a)
+    b, _ = _read_valid(args, args.b)
     p = read_matrix_file(args.matrix)
-    try:
-        check = verify_isomorphism(a, b, p)
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from None
+    if a.dim != b.dim:
+        raise FileFormatError("dimension mismatch: %d vs %d" % (a.dim, b.dim))
+    if (p.rows, p.cols) != (a.dim, a.dim):
+        raise FileFormatError("change of basis must be %d x %d" % (a.dim, a.dim))
+    check = verify_isomorphism(a, b, p)
     payload = {
         "ok": check.ok,
         "failing_pair": list(check.failing_pair) if check.failing_pair else None,
@@ -273,10 +254,8 @@ def _cmd_iso_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_iso_search(args: argparse.Namespace) -> int:
-    a, meta_a = read_algebra_file(args.a)
-    b, meta_b = read_algebra_file(args.b)
-    _require_valid(a, meta_a.get("name", args.a))
-    _require_valid(b, meta_b.get("name", args.b))
+    a, _ = _read_valid(args, args.a)
+    b, _ = _read_valid(args, args.b)
     result = search_isomorphism(a, b, budget=args.budget, seed=args.seed)
     matrix = matrix_to_dict(result.matrix)["entries"] if result.matrix is not None else None
     payload = {
@@ -337,16 +316,7 @@ def _cmd_catalog_list(args: argparse.Namespace) -> int:
 
 def _cmd_catalog_make(args: argparse.Namespace) -> int:
     params = _parse_params(args.param)
-    algebra = catalog.make(args.family, args.n, **params)
-    name = args.family
-    if args.out:
-        write_algebra_file(args.out, algebra, name=name, params=params)
-        print("wrote %s dim %d to %s" % (name, algebra.dim, args.out))
-        return 0
-    if args.format == "json":
-        sys.stdout.write(dumps_canonical(algebra_to_dict(algebra, name=name, params=params)))
-    else:
-        print(_format_algebra_text(algebra, "%s dim %d" % (name, algebra.dim)))
+    _emit_algebra(args, catalog.make(args.family, args.n, **params), args.family, args.family, params)
     return 0
 
 
@@ -455,25 +425,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: the one place that maps errors to exit codes.
+
+    Handlers return their verdict (0 or 1) and raise typed errors.
+    `_read_valid` and `_emit_algebra` note on `args` the file last gated
+    and whether `--out` is being written, for the messages below.
+    """
+    args = _build_parser().parse_args(argv)
+    args.gated = args.writing = None
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout left (`| head -1`): drop the rest and exit as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except FileFormatError as exc:
-        print("input file error: %s" % exc, file=sys.stderr)
-        return 3
+        message, code = "input file error: %s" % exc, 3
     except OSError as exc:
-        print("cannot read file: %s" % exc, file=sys.stderr)
-        return 3
-    except CheckFailed as exc:
-        print("check failed: %s" % exc, file=sys.stderr)
-        return 1
-    except (LeibnizError, InvalidCocycleError) as exc:
-        print("check failed: %s" % exc, file=sys.stderr)
-        return 1
+        message, code = "cannot %s file: %s" % ("write" if args.writing else "read", exc), 3
+    except LeibnizError as exc:
+        v, code = exc.violation, 1
+        message = "check failed: %s is not a Leibniz algebra: identity fails on (e%d, e%d, e%d)" % (
+            args.gated or "the input", v.i, v.j, v.k)
+    except (InvalidCocycleError, NotNilpotentError) as exc:
+        message, code = "check failed: %s" % exc, 1
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        message, code = "error: %s" % exc, 2
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

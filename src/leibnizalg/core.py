@@ -98,6 +98,18 @@ class LeibnizError(ValueError):
         )
 
 
+def require_leibniz(a: Algebra) -> None:
+    """The one gate on inputs: raise a's first Leibniz violation, or record a pass.
+
+    `check_leibniz` runs only while `a.checked` is False, so once per object.
+    """
+    if not a.checked:
+        violations = check_leibniz(a)
+        if violations:
+            raise LeibnizError(violations[0], len(violations))
+        object.__setattr__(a, "checked", True)
+
+
 class IntegerTable(NamedTuple):
     """The structure constants over their least common denominator.
 
@@ -124,8 +136,8 @@ class Algebra:
     only one stored; `sc[i][j]`, the coordinate vector of [e_i, e_j]
     (0-based), is a dense view derived from it.  Labels are presentation
     only and do not take part in equality or hashing.  `checked` records
-    whether the Leibniz identity was verified at construction; it is
-    metadata, not part of the value.  Equality and the hash compare
+    whether the Leibniz identity has been verified (`require_leibniz`); it
+    is metadata, not part of the value.  Equality and the hash compare
     `table`.
     """
 
@@ -236,10 +248,7 @@ def algebra_from_products(
             records.append((i, j, k, frac(c)))
     algebra = _from_records(dim, records, labels)
     if check:
-        violations = check_leibniz(algebra)
-        if violations:
-            raise LeibnizError(violations[0], len(violations))
-        object.__setattr__(algebra, "checked", True)
+        require_leibniz(algebra)
     return algebra
 
 
@@ -767,7 +776,6 @@ def _charseq_bound(a: Algebra) -> CharSeq:
     return _greedy_max_charseq(a.dim, len(dims) - 1, limits)
 
 
-@lru_cache(maxsize=None)
 def characteristic_sequence(a: Algebra) -> CharSeqWitness:
     """Best Jordan type of R_x over a deterministic candidate sweep.
 

@@ -29,7 +29,7 @@ from .cohomology import (
     cohomology_basis,
     combine,
 )
-from .core import Algebra, IntegerTable, LeibnizError, Subspace, center, check_leibniz
+from .core import Algebra, IntegerTable, Subspace, center, require_leibniz
 from .linalg import Echelon, Matrix, Vector, unit_vector
 
 _ZERO = Fraction(0)
@@ -86,7 +86,7 @@ class ExtensionSpec:
         `reduced_spec` set the view where their own work has proved it
         (`_known_cocycles`).
         """
-        _require_leibniz(self.base)
+        require_leibniz(self.base)
         if not all(_has_class(self.base, form) for form in self.forms):
             validate_cocycle(self)  # raises, naming the first violating triple
         return self.forms
@@ -106,13 +106,6 @@ def validate_cocycle(spec: ExtensionSpec) -> None:
     for t, form in enumerate(spec.forms):
         for triple, defect in _defects(spec.base, rows, form):
             raise InvalidCocycleError(t + 1, triple, defect)
-
-
-def _require_leibniz(base: Algebra) -> None:
-    if not base.checked:
-        violations = check_leibniz(base)
-        if violations:
-            raise LeibnizError(violations[0], len(violations))
 
 
 def central_extension(spec: ExtensionSpec) -> Algebra:
@@ -232,7 +225,7 @@ def reduce_extension(spec: ExtensionSpec) -> SplitReport:
     repeat it.
     """
     base = spec.base
-    _require_leibniz(base)
+    require_leibniz(base)
     n, k = base.dim, spec.k
     basis = cohomology_basis(base)
     h = basis.dim

@@ -59,6 +59,7 @@ from .core import (
     MAX_DIM,
     Algebra,
     CharSeq,
+    NotNilpotentError,
     _products_by_row,
     center,
     characteristic_sequence,
@@ -137,7 +138,7 @@ class Fingerprint:
 def fingerprint(a: Algebra) -> Fingerprint:
     s = nilindex(a)
     if s is None:
-        raise ValueError("fingerprint needs a nilpotent algebra")
+        raise NotNilpotentError("fingerprint needs a nilpotent algebra")
     cs = characteristic_sequence(a)
     return Fingerprint(
         dim=a.dim,

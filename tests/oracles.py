@@ -61,8 +61,8 @@ from typing import Any, Mapping, Sequence
 from hypothesis import strategies as st
 
 from leibnizalg.cohomology import _class_and_preimage, _condition_rows, cohomology_basis, combine
-from leibnizalg.core import LeibnizViolation, _rational_vector
-from leibnizalg.extension import SplitReport, _require_leibniz, validate_cocycle
+from leibnizalg.core import LeibnizViolation, _rational_vector, require_leibniz
+from leibnizalg.extension import SplitReport, validate_cocycle
 from leibnizalg.files import FileFormatError
 from leibnizalg.isomorphism import Columns, IsoCheck
 from leibnizalg.linalg import (
@@ -244,7 +244,7 @@ def fraction_reduce_extension(spec) -> SplitReport:
     computation is the only validation needed.
     """
     base = spec.base
-    _require_leibniz(base)
+    require_leibniz(base)
     n, k = base.dim, spec.k
     h = cohomology_basis(base).dim
     if k == 0:

@@ -31,10 +31,9 @@ from leibnizalg.cohomology import (
     combine,
     is_cocycle,
 )
-from leibnizalg.core import Subspace
+from leibnizalg.core import Subspace, require_leibniz
 from leibnizalg.extension import (
     SplitReport,
-    _require_leibniz,
     make_spec,
     random_cocycle_forms,
     reduce_extension,
@@ -89,7 +88,7 @@ def oracle_generator_matrix(a):
 
 def oracle_reduce_extension(spec):
     base = spec.base
-    _require_leibniz(base)
+    require_leibniz(base)
     n, k = base.dim, spec.k
     h = cohomology_basis(base).dim
     if k == 0:

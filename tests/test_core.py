@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibnizalg import catalog, linalg
+from leibnizalg import catalog, core, linalg
 from leibnizalg.cohomology import BilinearForm
 from leibnizalg.core import (
     CharSeq,
@@ -30,6 +30,7 @@ from leibnizalg.core import (
     lower_central_series,
     natural_gradation,
     nilindex,
+    require_leibniz,
     right_annihilator,
     right_mult_operator,
     series_dims,
@@ -65,6 +66,29 @@ def test_check_leibniz_lists_every_violation():
     violations = check_leibniz(a)
     assert len(violations) == 7
     assert all(v.defect != (0,) * 3 for v in violations)
+
+
+def test_require_leibniz_checks_each_object_once(monkeypatch):
+    calls = []
+    check = core.check_leibniz
+    monkeypatch.setattr(core, "check_leibniz", lambda a: calls.append(a) or check(a))
+    a = algebra_from_products(3, {(1, 1): {2: 1}, (2, 1): {3: 1}}, check=False)
+    twin = algebra_from_products(3, {(1, 1): {2: 1}, (2, 1): {3: 1}}, check=False)
+    assert not a.checked
+    require_leibniz(a)
+    require_leibniz(a)
+    assert a.checked and [id(x) for x in calls] == [id(a)]
+    # an equal but distinct object is checked on its own
+    require_leibniz(twin)
+    assert twin.checked and len(calls) == 2
+    # the mutant of test_bad_product_raises_leibniz_error: each refusal checks again
+    mutant = algebra_from_products(3, {(1, 1): {2: 1}, (2, 1): {3: 1}, (2, 2): {1: 1}},
+                                   check=False)
+    for attempt in (1, 2):
+        with pytest.raises(LeibnizError) as exc:
+            require_leibniz(mutant)
+        assert (exc.value.violation, exc.value.total) == (check(mutant)[0], 7)
+        assert not mutant.checked and len(calls) == 2 + attempt
 
 
 def test_bracket_is_bilinear_on_chain():
@@ -226,7 +250,7 @@ def test_charseq_sweep_stops_at_the_bound_and_prunes_chains(monkeypatch, family,
     calls = []
     integer_rank = linalg.integer_rank
     monkeypatch.setattr(linalg, "integer_rank", lambda grid, cols: calls.append(cols) or integer_rank(grid, cols))
-    w = characteristic_sequence.__wrapped__(a)
+    w = characteristic_sequence(a)
     monkeypatch.undo()
     assert not w.exact
     assert len(calls) <= rank_calls

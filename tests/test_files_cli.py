@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from leibnizalg import algebra_from_products, catalog, files, transform_algebra
 from leibnizalg.cli import main
 from leibnizalg.cohomology import BilinearForm
+from leibnizalg.core import NotNilpotentError, check_leibniz
+from leibnizalg.isomorphism import fingerprint
 from leibnizalg.linalg import Matrix, frac
 from oracles import fraction_frac, fraction_rational
 
@@ -299,7 +301,31 @@ def test_invariants_non_nilpotent_exits_1(tmp_path, capsys):
     payload = {"dim": 2, "brackets": [{"i": 1, "j": 2, "k": 1, "c": "1"}]}
     path = tmp_path / "solv.json"
     path.write_text(files.dumps_canonical(payload))
+    algebra, _ = files.read_algebra_file(path)
+    assert not check_leibniz(algebra)  # Leibniz, so the refusal is fingerprint's
+    with pytest.raises(NotNilpotentError):
+        fingerprint(algebra)
     assert main(["invariants", str(path)]) == 1
+    assert capsys.readouterr().err == "check failed: fingerprint needs a nilpotent algebra\n"
+
+
+def test_non_leibniz_file_is_refused_by_name_and_first_triple(nf4_file, tmp_path, capsys):
+    payload = {"dim": 2, "brackets": [{"i": 1, "j": 2, "k": 1, "c": "1"},
+                                      {"i": 2, "j": 1, "k": 2, "c": "1"}]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(files.dumps_canonical(payload))
+    matrix = tmp_path / "id2.json"
+    files.write_matrix_file(matrix, Matrix([[1, 0], [0, 1]]))
+    v = check_leibniz(files.read_algebra_file(bad)[0])[0]
+    triple = "(e%d, e%d, e%d)" % (v.i, v.j, v.k)
+    # iso verify gates its first file, then names the second as the refused one
+    for argv in (["invariants", str(bad)], ["cohomology", str(bad)],
+                 ["iso", "verify", str(bad), str(bad), str(matrix)],
+                 ["iso", "verify", nf4_file, str(bad), str(matrix)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: %s is not a Leibniz algebra" % bad), argv
+        assert triple in err and nf4_file not in err, argv
 
 
 def test_cohomology_json(capsys):
@@ -435,6 +461,9 @@ def test_catalog_make_repeated_param_exits_2(capsys):
 def test_catalog_make_blank_param_name_exits_2(capsys):
     assert main(["catalog", "make", "F1", "--n", "4", "--param", "=3"]) == 2
     assert "has no name" in capsys.readouterr().err
+    for raw in (",,", "", "lam=1,"):
+        assert main(["catalog", "make", "L1l", "--n", "6", "--param", raw]) == 2
+        assert "empty parameter" in capsys.readouterr().err
 
 
 def test_family_flags_with_a_file_exit_2(nf4_file, capsys):
@@ -453,3 +482,27 @@ def test_split_check_algebra_as_cocycle_exits_3(nf4_file, capsys):
     assert main(["split-check", nf4_file, "--cocycle", nf4_file]) == 3
     assert "no 'entries'" in capsys.readouterr().err
     assert main(["extend", nf4_file, "--cocycle", nf4_file]) == 3
+
+
+def test_unwritable_out_file_says_write_and_exits_3(nf4_file, top_cocycle_file, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.json")
+    for argv in (["catalog", "make", "F1", "--n", "4", "--out", out],
+                 ["extend", nf4_file, "--cocycle", top_cocycle_file, "--out", out]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cannot write file: ") and out in captured.err
+        assert captured.out == ""
+
+
+def test_closed_stdout_pipe_exits_141_quietly(tmp_path):
+    # The abelian algebra of dim 64 has 4096 classes, about 137 kB of text,
+    # far past a pipe's 64 kB buffer: the command is still writing when the
+    # reader closes its end after one line.
+    path = tmp_path / "abelian64.json"
+    path.write_text('{"dim": 64, "brackets": []}')
+    argv = [sys.executable, "-m", "leibnizalg.cli", "cohomology", str(path)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"second cohomology of %s\n" % str(path).encode()
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 141

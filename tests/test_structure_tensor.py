@@ -82,12 +82,12 @@ from leibnizalg.core import (
     lower_central_series,
     natural_gradation,
     nilindex,
+    require_leibniz,
     right_annihilator,
     right_mult_operator,
     squares_subspace,
 )
 from leibnizalg.extension import (
-    _require_leibniz,
     central_extension,
     make_spec,
     random_cocycle_forms,
@@ -480,7 +480,7 @@ def oracle_direct_sum(a, b):
 def oracle_central_extension(spec):
     """The algebra on base + V defined by the cocycle."""
     base = spec.base
-    _require_leibniz(base)
+    require_leibniz(base)
     if any(cohomology_class(base, form) is None for form in spec.forms):
         validate_cocycle(spec)  # raises, naming the first violating triple
     n, k = base.dim, spec.k
