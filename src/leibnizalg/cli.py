@@ -43,10 +43,24 @@ from .linalg import frac
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
-    if args.format == "json":
-        sys.stdout.write(dumps_canonical(payload))
-    else:
-        print(text)
+    _write(dumps_canonical(payload) if args.format == "json" else text + "\n")
+
+
+def _write(text: str) -> None:
+    """Write text to stdout so that a reader who left raises `BrokenPipeError`.
+
+    An unbuffered stdout drops the rest of a partial write without an
+    error, so the bytes go to its binary layer until all are taken.  A
+    stdout without one (a `StringIO`) takes the text as it is.
+    """
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[out.write(data):]
 
 
 def _parse_params(raw: list[str] | None) -> dict[str, Fraction]:

@@ -17,14 +17,19 @@ so the defining conditions never couple components): all spaces here are
 computed with scalar coefficients, and k-dimensional statements are the
 k-fold copies.
 
-The identity is encoded once, as the sparse integer rows of
-`_condition_rows`: D times the identity, D the denominator of the
-algebra's integer table, scattered from the table's nonzero products
-and sorted into canonical (i, j, k) order.  The defect of a form at a
-basis triple is (row . theta) / D; violation reports, the cocycle test
-and the ZL^2 kernel all read those rows, and the kernel eliminates them
-as ints.  `condition_matrix` is the same rows over D as a `Matrix`, for
-display and measurement, not the path to ZL^2.
+The identity is written once, in the scatter `_half_rows`: D times the
+identity at the triples (i, j, k) with j < k, D the denominator of the
+algebra's integer table, scattered from the table's nonzero products.
+`_condition_rows` derives the view per triple from it, all n^3 rows
+sorted into canonical (i, j, k) order, since for any table row(i, k, j)
+is theta(e_i, [e_j, e_k] + [e_k, e_j]) minus row(i, j, k), and row(i, j, j)
+is theta(e_i, [e_j, e_j]).  The defect of a form at a basis triple is
+(row . theta) / D; violation reports and the cocycle test read those
+rows.  The ZL^2 kernel eliminates, as ints, a smaller system with the
+same row space: the rows with j < k and theta(e_t, b) for every t and
+every held row b of `core.squares_subspace`.  `condition_matrix` is the
+per-triple rows over D as a `Matrix`, for display and measurement, not
+the system that is eliminated.
 
 The coboundary map is encoded once too, as the rows of
 `_coboundary_rows`, D times delta(e_m^*).  BL^2 spans them, and they
@@ -43,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import Algebra, Subspace
+from .core import Algebra, Subspace, squares_subspace
 from .linalg import Echelon, Matrix, Vector, _integer_vector, common_denominator, frac, rank
 
 _ZERO = Fraction(0)
@@ -241,35 +246,63 @@ def _combine_ints(forms: Sequence[BilinearForm], nums: Sequence[int], den: int) 
 ConditionRow = tuple[tuple[int, int, int], dict[int, int]]
 
 
-def _condition_rows(a: Algebra) -> list[ConditionRow]:
-    """The cocycle identity as one sparse integer condition per basis triple.
+def _half_rows(a: Algebra) -> defaultdict[int, dict[int, int]]:
+    """The cocycle identity at the triples (i, j, k) with j < k, keyed by i*n^2 + j*n + k.
 
     The only place the identity is written.  The unknowns are theta_{pq}
     at flat index p*n + q, and each row holds D times the coefficients of
     the identity as ints, D the denominator of `Algebra.table`, so the
-    defect of a form at a triple is (row . flatten(theta)) / D; each row
-    is tagged with its 1-based (i, j, k).  A nonzero product [e_u, e_v]
-    enters the n triples with (j, k) = (u, v), the n with (i, j) = (u, v)
-    and the n with (i, k) = (u, v), so the rows are scattered from the
-    table rather than swept over all n^3 triples.  Entries that cancel and
-    vacuous triples are dropped and the rows are sorted into the (i, j, k)
-    sweep order, so the system is canonical.
+    defect of a form at a triple is (row . flatten(theta)) / D.  A nonzero
+    product [e_u, e_v] enters the rows of (t, u, v) when u < v, and the
+    row of (u, t, v) or (u, v, t) for each t != v, so the rows are
+    scattered from the table rather than swept over the triples.  Entries
+    may cancel to zero, and vacuous triples are absent.
     """
     n = a.dim
     acc: defaultdict[int, dict[int, int]] = defaultdict(dict)
     for (u, v), terms in a.table.products.items():
         for m, c in terms:
-            for t in range(n):
+            if u < v:
                 # theta(e_t, [e_u, e_v]) in the row of (t, u, v)
-                row, p = acc[(t * n + u) * n + v], t * n + m
+                for t in range(n):
+                    row, p = acc[(t * n + u) * n + v], t * n + m
+                    row[p] = row.get(p, 0) + c
+            # +theta([e_u, e_v], e_t) in the row of (u, t, v) for t < v and
+            # -theta([e_u, e_v], e_t) in the row of (u, v, t) for t > v
+            for t in range(v):
+                row, p = acc[(u * n + t) * n + v], m * n + t
                 row[p] = row.get(p, 0) + c
-                # -theta([e_u, e_v], e_t) in the row of (u, v, t) and
-                # +theta([e_u, e_v], e_t) in the row of (u, t, v)
-                p = m * n + t
-                row = acc[(u * n + v) * n + t]
+            for t in range(v + 1, n):
+                row, p = acc[(u * n + v) * n + t], m * n + t
                 row[p] = row.get(p, 0) - c
-                row = acc[(u * n + t) * n + v]
-                row[p] = row.get(p, 0) + c
+    return acc
+
+
+def _condition_rows(a: Algebra) -> list[ConditionRow]:
+    """The cocycle identity as one sparse integer condition per basis triple.
+
+    A view derived from `_half_rows`, which holds the triples with j < k.
+    Expanding the identity at two triples of one i gives, for any table,
+
+        row(i, k, j) = theta(e_i, [e_j, e_k] + [e_k, e_j]) - row(i, j, k),
+        row(i, j, j) = theta(e_i, [e_j, e_j]),
+
+    and the other rows are read off those.  Each row is tagged with its
+    1-based (i, j, k); entries that cancel and vacuous triples are dropped
+    and the rows are sorted into the (i, j, k) sweep order, so the system
+    is canonical.
+    """
+    n = a.dim
+    acc = _half_rows(a)
+    for triple, row in list(acc.items()):
+        i, jk = divmod(triple, n * n)
+        j, k = divmod(jk, n)
+        acc[(i * n + k) * n + j] = {p: -c for p, c in row.items()}
+    for (u, v), terms in a.table.products.items():
+        for t in range(n):
+            row = acc[(t * n + max(u, v)) * n + min(u, v)]
+            for m, c in terms:
+                row[t * n + m] = row.get(t * n + m, 0) + c
     rows: list[ConditionRow] = []
     for triple in sorted(acc):
         row = acc[triple]
@@ -348,9 +381,17 @@ class CochainSpace:
 
 @lru_cache(maxsize=None)
 def cocycle_space(a: Algebra) -> CochainSpace:
-    """ZL^2 with scalar coefficients: kernel of the condition system."""
+    """ZL^2 with scalar coefficients: kernel of the condition system.
+
+    By the identities of `_condition_rows`, the rows of `_half_rows` and
+    theta(e_t, b) for every t and every held row b of `squares_subspace`
+    span the same rows as the whole system, so only those are eliminated.
+    """
     n = a.dim
-    kernel = Echelon(n * n, (row for _, row in _condition_rows(a))).kernel()
+    rows = list(_half_rows(a).values())
+    squares = squares_subspace(a)._echelon.held.values()
+    rows += ({t * n + m: c for m, c in b.items()} for b in squares for t in range(n))
+    kernel = Echelon(n * n, rows).kernel()
     return CochainSpace(n, Subspace(n * n, kernel))
 
 

@@ -93,8 +93,9 @@ class LeibnizError(ValueError):
         self.violation = violation
         self.total = total
         super().__init__(
-            "Leibniz identity fails on (e%d, e%d, e%d), defect %s (%d violating triple%s)"
-            % (violation.i, violation.j, violation.k, violation.defect, total, "s" if total != 1 else "")
+            "Leibniz identity fails on (e%d, e%d, e%d), defect (%s) (%d violating triple%s)"
+            % (violation.i, violation.j, violation.k, ", ".join(map(str, violation.defect)),
+               total, "s" if total != 1 else "")
         )
 
 

@@ -5,19 +5,30 @@ cocycle identity: a per-triple defect sweep and a dense condition
 system.  `oracle_fraction_condition_rows` is the earlier body of
 `cohomology._condition_rows`, kept verbatim, which swept all n^3 triples
 and built `Fraction` rows; the integer rows scattered from the table must
-be D times its rows, in its order.  They live here only, as references
-for the single sparse encoding in `cohomology._condition_rows`.
+be D times its rows, in its order, on catalog members and on random
+tables that need not be Leibniz.  They live here only, as references
+for the scatter `cohomology._half_rows` and the per-triple view
+`cohomology._condition_rows` derived from it.
+
+`cocycle_space` eliminates only the rows with j < k and theta(e_t, b)
+for b in the squares subspace S.  The pairing identity behind that,
+row(i, j, k) + row(i, k, j) = theta(e_i, [e_j, e_k] + [e_k, e_j]), is
+pinned on random tables, and the kernel is checked against the kernel
+of the whole per-triple system, on members up to dim 9 in triangular
+and flag-breaking bases and on random tables.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibnizalg import catalog
+from leibnizalg import algebra_from_products, catalog
 from leibnizalg.cohomology import (
     BilinearForm,
+    CochainSpace,
     _condition_rows,
     cocycle_space,
     cocycle_violations,
@@ -36,6 +47,7 @@ from leibnizalg.extension import (
 )
 from leibnizalg.isomorphism import transform_algebra, verify_isomorphism
 from leibnizalg.linalg import Matrix, kernel_basis
+from oracles import flag_breaking_change
 
 
 def oracle_defect(a, form, i, j, k):
@@ -65,25 +77,26 @@ def oracle_violations(a, form):
     return out
 
 
+def oracle_row(a, i, j, k):
+    """The dense condition row of the 0-based triple (i, j, k)."""
+    n = a.dim
+    row = [Fraction(0)] * (n * n)
+    for m, c in enumerate(a.sc[j][k]):
+        if c:
+            row[i * n + m] += c
+    for m, c in enumerate(a.sc[i][j]):
+        if c:
+            row[m * n + k] -= c
+    for m, c in enumerate(a.sc[i][k]):
+        if c:
+            row[m * n + j] += c
+    return row
+
+
 def oracle_condition_rows(a):
     n = a.dim
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = [Fraction(0)] * (n * n)
-                for m, c in enumerate(a.sc[j][k]):
-                    if c:
-                        row[i * n + m] += c
-                for m, c in enumerate(a.sc[i][j]):
-                    if c:
-                        row[m * n + k] -= c
-                for m, c in enumerate(a.sc[i][k]):
-                    if c:
-                        row[m * n + j] += c
-                if any(row):
-                    rows.append(tuple(row))
-    return rows
+    rows = (oracle_row(a, i, j, k) for i in range(n) for j in range(n) for k in range(n))
+    return [tuple(row) for row in rows if any(row)]
 
 
 def oracle_fraction_condition_rows(a):
@@ -149,14 +162,31 @@ MEMBERS = (
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
 
+# Members up to dim 9, for the kernel of the half system against the whole one.
+LARGER_MEMBERS = (
+    ("NF", 9, {}),
+    ("F1", 9, {}),
+    ("F2", 8, {}),
+    ("F3", 8, {"alpha": 1}),
+    ("F1param", 7, {"alpha5": "1/2", "theta": "-2"}),
+    ("L1l", 7, {"lam": "-1/3"}),
+    ("L6", 5, {}),
+    ("Lstar", 7, {}),
+    ("Nstar", 6, {}),
+    ("Qstar", 7, {}),
+)
+
+
 @st.composite
-def members(draw):
-    """A catalog member in its own, an integer or a rational basis."""
-    family, dim, params = draw(st.sampled_from(MEMBERS))
+def members(draw, table=MEMBERS):
+    """A catalog member in its own basis, a triangular integer or rational one, or a flag-breaking one."""
+    family, dim, params = draw(st.sampled_from(table))
     a = catalog.make(family, dim, **params)
-    kind = draw(st.sampled_from(("catalog", "integer", "rational")))
+    kind = draw(st.sampled_from(("catalog", "integer", "rational", "flag-breaking")))
     if kind == "catalog" or dim == 0:
         return a
+    if kind == "flag-breaking":
+        return transform_algebra(a, flag_breaking_change(draw, dim, draw(st.booleans())))
     entries = st.integers(-2, 2).map(Fraction) if kind == "integer" else small
     diagonal = (Fraction(1), Fraction(-1)) if kind == "integer" else (
         Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3))
@@ -168,6 +198,18 @@ def members(draw):
     if draw(st.booleans()):
         q = [list(col) for col in zip(*q)]
     return transform_algebra(a, Matrix(q, cols=dim))
+
+
+@st.composite
+def random_tables(draw):
+    """An algebra of dim 1..5 with a few random rational products, Leibniz or not."""
+    n = draw(st.integers(1, 5))
+    index = st.integers(1, n)
+    cells = draw(st.lists(st.tuples(index, index, index, small.filter(bool)), min_size=1, max_size=10))
+    products = {}
+    for i, j, k, c in cells:
+        products.setdefault((i, j), {})[k] = c
+    return algebra_from_products(n, products, check=False)
 
 
 @st.composite
@@ -200,7 +242,32 @@ def test_condition_system_matches_dense_oracle(data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(members())
+@given(st.one_of(members(LARGER_MEMBERS), random_tables()))
+def test_cocycle_space_is_the_kernel_of_the_whole_system(a):
+    # cocycle_space eliminates the rows with j < k and theta(L, S) only
+    assert cocycle_space(a) == CochainSpace(a.dim, oracle_cocycle_space(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_tables())
+def test_condition_rows_pair_up_on_any_table(a):
+    # row(i, j, k) + row(i, k, j) = theta(e_i, [e_j, e_k] + [e_k, e_j]), with
+    # no Leibniz identity needed; at j = k, row(i, j, j) = theta(e_i, [e_j, e_j])
+    n = a.dim
+
+    def pairing(i, j, k):
+        row = [Fraction(0)] * (n * n)
+        for m in range(n):
+            row[i * n + m] = a.sc[j][k][m] + a.sc[k][j][m]
+        return row
+
+    for i, j, k in itertools.product(range(n), repeat=3):
+        rows = oracle_row(a, i, j, k), oracle_row(a, i, k, j)
+        assert [x + y for x, y in zip(*rows)] == pairing(i, j, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(members(), random_tables()))
 def test_integer_condition_rows_are_d_times_fraction_rows(a):
     rows = _condition_rows(a)
     expected = oracle_fraction_condition_rows(a)

@@ -60,6 +60,15 @@ def test_bad_product_raises_leibniz_error():
     assert exc.value.total == 7
 
 
+def test_leibniz_error_prints_the_defect_as_rationals():
+    with pytest.raises(LeibnizError) as exc:
+        algebra_from_products(2, {(1, 2): {1: 1}, (2, 1): {2: 1}})
+    assert str(exc.value) == "Leibniz identity fails on (e1, e2, e1), defect (1, 0) (2 violating triples)"
+    with pytest.raises(LeibnizError) as exc:
+        algebra_from_products(2, {(1, 1): {1: "1/2"}})
+    assert str(exc.value) == "Leibniz identity fails on (e1, e1, e1), defect (1/4, 0) (1 violating triple)"
+
+
 def test_check_leibniz_lists_every_violation():
     a = algebra_from_products(3, {(1, 1): {2: 1}, (2, 1): {3: 1}, (2, 2): {1: 1}},
                               check=False)

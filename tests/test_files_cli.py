@@ -7,6 +7,7 @@ direct JSON writer `files.dumps_canonical` with the code they replaced:
 """
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -503,6 +504,21 @@ def test_closed_stdout_pipe_exits_141_quietly(tmp_path):
     argv = [sys.executable, "-m", "leibnizalg.cli", "cohomology", str(path)]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline() == b"second cohomology of %s\n" % str(path).encode()
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 141
+
+
+def test_closed_stdout_pipe_exits_141_for_json_on_unbuffered_stdout(tmp_path):
+    # An unbuffered stdout drops the rest of a partial write without an
+    # error; the JSON document, written as one string, must still meet the
+    # closed pipe and exit 141.
+    path = tmp_path / "abelian64.json"
+    path.write_text('{"dim": 64, "brackets": []}')
+    argv = [sys.executable, "-m", "leibnizalg.cli", "cohomology", str(path), "--format", "json"]
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(50).startswith(b"{")
         proc.stdout.close()
         assert proc.stderr.read() == b""
         assert proc.wait(timeout=120) == 141
